@@ -10,7 +10,7 @@ so that E[x * conj(y)] = tau * sigma_x * sigma_y / N.  Three entry kinds
 are supported:
 
 ``real``
-    Purely real entries; tau must be real.
+    Purely real entries, held as float64; tau must be real.
 ``complex_independent``
     Complex entries whose real and imaginary parts are independent real
     pairs, carrying fractions ``split`` and ``1 - split`` of the variance
@@ -112,8 +112,8 @@ def validate_params(params: EnsembleParams) -> None:
         raise NonPositiveSigma(f"sigma_x must be positive, got {params.sigma_x}")
     if params.sigma_y <= 0.0 or not math.isfinite(params.sigma_y):
         raise NonPositiveSigma(f"sigma_y must be positive, got {params.sigma_y}")
-    if abs(params.tau) > 1.0 + TAU_UNIT_SLACK:
-        raise TauOutOfUnitDisc(f"|tau| = {abs(params.tau)} exceeds 1")
+    if not abs(params.tau) <= 1.0 + TAU_UNIT_SLACK:  # also rejects NaN
+        raise TauOutOfUnitDisc(f"|tau| = {abs(params.tau)} is not at most 1")
     if params.kind in (REAL, COMPLEX_INDEPENDENT) and params.tau.imag != 0.0:
         raise ComplexTauInRealKind(
             f"kind {params.kind!r} requires real tau, got {params.tau}"
@@ -141,6 +141,7 @@ def sample_pair(params: EnsembleParams, dims: Dims, seed: int) -> MatrixPair:
     Standard fields are drawn in a fixed order (u before v; for complex
     kinds, real block before imaginary block) from a PCG64 stream keyed by
     ``seed``, so the output is reproducible across calls and processes.
+    The ``real`` kind gives float64 matrices, the complex kinds complex128.
     """
     validate_params(params)
     a, b = mixing_coefficients(params)
@@ -149,9 +150,11 @@ def sample_pair(params: EnsembleParams, dims: Dims, seed: int) -> MatrixPair:
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
 
     if params.kind == REAL:
+        # Real entries stay float64; tau is real here, so a is too.
+        a = a.real
         scale = 1.0 / math.sqrt(n)
-        u = (rng.standard_normal(shape) * scale).astype(np.complex128)
-        v = (rng.standard_normal(shape) * scale).astype(np.complex128)
+        u = rng.standard_normal(shape) * scale
+        v = rng.standard_normal(shape) * scale
     elif params.kind == COMPLEX_INDEPENDENT:
         re_scale = math.sqrt(params.split / n)
         im_scale = math.sqrt((1.0 - params.split) / n)

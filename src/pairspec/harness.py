@@ -46,6 +46,7 @@ from .empirical import (
     coverage,
     default_zero_tol,
     mean_eigenvalue,
+    reference_spectrum,
     spectrum,
     wa_identity_check,
 )
@@ -260,10 +261,14 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"trials must be >= 1, got {config.trials}")
     if config.base_seed < 0 or config.base_seed > _MASK64:
         raise ConfigError(f"base_seed must fit in 64 bits, got {config.base_seed}")
-    if not config.margin >= 0.0:
-        raise ConfigError(f"margin must be >= 0, got {config.margin}")
-    if config.zero_tol is not None and not config.zero_tol > 0.0:
-        raise ConfigError(f"zero_tol must be positive or null, got {config.zero_tol}")
+    if not (math.isfinite(config.margin) and config.margin >= 0.0):
+        raise ConfigError(f"margin must be finite and >= 0, got {config.margin}")
+    if config.zero_tol is not None and not (
+        math.isfinite(config.zero_tol) and config.zero_tol > 0.0
+    ):
+        raise ConfigError(
+            f"zero_tol must be finite and positive, or null, got {config.zero_tol}"
+        )
     bad = [c for c in config.checks if c not in CHECK_NAMES]
     if bad:
         raise ConfigError(f"unknown checks {bad}; known: {list(CHECK_NAMES)}")
@@ -326,12 +331,20 @@ def _spectra(
     dims: Dims,
     product_kind: str,
     seed_base: int,
+    reference: bool = False,
 ) -> list[SpectrumSample]:
-    """config.trials spectra at consecutive derived seeds, trial-ordered."""
+    """config.trials spectra at consecutive derived seeds, trial-ordered.
+
+    ``reference`` selects the full-size SVD path, whose kernel zeros come
+    out of the eigensolver rather than being padded in.
+    """
 
     def one(trial: int) -> SpectrumSample:
         seed = derive_seed(config.base_seed, seed_base + trial)
-        return spectrum(sample_pair(params, dims, seed), product_kind)
+        pair = sample_pair(params, dims, seed)
+        if reference:
+            return reference_spectrum(pair, product_kind)
+        return spectrum(pair, product_kind)
 
     return _map_ordered(one, range(config.trials), config.threads)
 
@@ -406,7 +419,9 @@ def _check_zero_atoms(config: ExperimentConfig) -> CheckResult:
 
     The count bound is an exact rank statement and fails fatally; the
     fraction band (2/sqrt(n) around 1 - p/n) is statistical and advisory,
-    since only "at least" is guaranteed.
+    since only "at least" is guaranteed.  Spectra come from the SVD
+    reference path: the reduced path pads exactly n - p zeros, which would
+    pass the count by construction.
     """
     params = config.ensemble_params()
     rect = [(d_i, n, p) for d_i, (n, p) in enumerate(config.dims) if p < n]
@@ -423,7 +438,7 @@ def _check_zero_atoms(config: ExperimentConfig) -> CheckResult:
     for d_i, n, p in rect:
         dims = Dims(n, p)
         base = _CHECK_SEED_BASE["zero_atoms"] + d_i * config.trials
-        samples = _spectra(config, params, dims, PSEUDO_INVERSE, base)
+        samples = _spectra(config, params, dims, PSEUDO_INVERSE, base, reference=True)
         counts = []
         for s in samples:
             ztol = config.zero_tol or default_zero_tol(s.eigs)
@@ -776,24 +791,38 @@ def cmd_sweep(
 
     Cell (i, j) uses sweep_taus[i] and dims (n0, round(alpha_j * n0))
     derived from the first configured shape; its report is written to
-    report_tau{i}_alpha{j}.json.  The returned exit code is 0 iff every
-    cell passed.
+    report_tau{i}_alpha{j}.json.  Every cell is validated before the
+    first one runs, so a bad cell leaves no reports behind.  A
+    pseudo-inverse cell whose alpha != 1 rounds to the square shape
+    (n0, n0), which has no disc prediction, is a ConfigError.  The
+    returned exit code is 0 iff every cell passed.
     """
     validate_config(config)
-    out = _resolve_out(config, out_dir)
     taus = config.sweep_taus or (config.tau,)
     alphas = config.sweep_alphas or (Dims(*config.dims[0]).alpha,)
     n0 = config.dims[0][0]
-    paths: list[Path] = []
-    worst = 0
+    cells: list[tuple[str, ExperimentConfig]] = []
     for i, tau in enumerate(taus):
         for j, alpha in enumerate(alphas):
             p = max(1, round(alpha * n0))
+            if config.product_kind == PSEUDO_INVERSE and p == n0 and alpha != 1.0:
+                raise ConfigError(
+                    f"sweep alpha {alpha} rounds to the square shape ({n0}, {n0}) "
+                    f"at n0 = {n0}; pseudo_inverse has no prediction there"
+                )
             cell = replace(config, tau=tau, dims=((n0, p),))
-            validate_config(cell)
-            report = _run_checks(cell)
-            path = out / f"report_tau{i}_alpha{j}.json"
-            _write_report(report, path)
-            paths.append(path)
-            worst = max(worst, report.exit_code)
+            try:
+                validate_config(cell)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep cell tau{i}_alpha{j}: {exc}") from exc
+            cells.append((f"report_tau{i}_alpha{j}.json", cell))
+    out = _resolve_out(config, out_dir)
+    paths: list[Path] = []
+    worst = 0
+    for name, cell in cells:
+        report = _run_checks(cell)
+        path = out / name
+        _write_report(report, path)
+        paths.append(path)
+        worst = max(worst, report.exit_code)
     return paths, worst

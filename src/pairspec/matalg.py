@@ -3,7 +3,9 @@
 Thin, validating wrappers around LAPACK via numpy.  The pseudo-inverse is
 computed from the SVD with an explicit relative cutoff so that the
 effective rank is part of the result, and eigenvalue extraction maps
-LAPACK failure modes onto this package's error types.
+LAPACK failure modes onto this package's error types.  Real input stays
+real (float64), so it runs the cheaper real LAPACK routines; complex
+input is complex128.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ def _as_matrix(a: np.ndarray, caller: str) -> np.ndarray:
         raise ValueError(f"{caller} expects a 2-d array, got ndim={a.ndim}")
     if a.size == 0:
         raise EmptyMatrix(f"{caller} got an empty {a.shape} matrix")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.all(np.isfinite(a)):
         raise NonFinite(f"{caller} got non-finite entries")
-    return a.astype(np.complex128, copy=False)
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -92,12 +94,17 @@ def penrose_residuals(a: np.ndarray, a_pinv: np.ndarray) -> dict[str, float]:
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a square matrix, unordered, as complex128."""
+    """All eigenvalues of a square matrix, unordered, as complex128.
+
+    A real matrix's non-real eigenvalues come in exact conjugate pairs.
+    """
     a = _as_matrix(a, "eigenvalues")
     if a.shape[0] != a.shape[1]:
         raise NonSquare(f"eigenvalues needs a square matrix, got {a.shape}")
     try:
-        return np.linalg.eigvals(a)
+        # eigvals returns a real array when a real matrix has only real
+        # eigenvalues; callers always get complex128.
+        return np.linalg.eigvals(a).astype(np.complex128, copy=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 

@@ -5,10 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pairspec import (
+    COMPLEX_GENERAL,
     CONJ_TRANSPOSE,
+    KINDS,
+    PRODUCT_KINDS,
     PSEUDO_INVERSE,
     REAL,
     DegenerateWindow,
@@ -23,6 +28,7 @@ from pairspec import (
     eigenvalues,
     mean_eigenvalue,
     multiset_max_distance,
+    reference_spectrum,
     sample_pair,
     spectrum,
     wa_identity_check,
@@ -83,6 +89,86 @@ class TestSpectrum:
         pair = sample_pair(UNIT, Dims(4, 4), seed=6)
         with pytest.raises(ValueError):
             spectrum(pair, "hadamard")
+        with pytest.raises(ValueError):
+            reference_spectrum(pair, "hadamard")
+
+    def test_tall_spectrum_ends_in_padded_zeros(self):
+        pair = sample_pair(UNIT, Dims(30, 12), seed=13)
+        for product in PRODUCT_KINDS:
+            eigs = spectrum(pair, product).eigs
+            assert np.all(eigs[12:] == 0.0)
+            assert np.all(eigs[:12] != 0.0)
+
+    @pytest.mark.parametrize("product", PRODUCT_KINDS)
+    @pytest.mark.parametrize("n, p", [(40, 17), (17, 40), (25, 25)])
+    def test_real_kind_spectrum_is_complex_with_conjugate_pairs(self, product, n, p):
+        pair = sample_pair(EnsembleParams(1.0, 1.0, 0.3, kind=REAL), Dims(n, p), seed=14)
+        assert pair.x_mat.dtype == np.float64
+        eigs = spectrum(pair, product).eigs
+        assert eigs.dtype == np.complex128
+        upper = np.sort_complex(eigs[eigs.imag > 0.0])
+        lower = np.sort_complex(np.conj(eigs[eigs.imag < 0.0]))
+        assert upper.size > 0
+        assert np.array_equal(upper, lower)
+
+
+def _differential_tol(eigs):
+    return 1e-9 * max(1.0, float(np.max(np.abs(eigs))))
+
+
+class TestReducedPathAgainstReference:
+    """``spectrum`` (QR, eig at min(N, P)) against the full-size SVD path."""
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        product=st.sampled_from(PRODUCT_KINDS),
+        n=st.integers(2, 30),
+        shape=st.sampled_from(["n-1", "n", "n+1", "quarter", "triple"]),
+        modulus=st.sampled_from([0.0, 0.5, 0.999999, 1.0]),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        sigma_x=st.floats(0.3, 3.0),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, kind, product, n, shape, modulus, phase, sigma_x, seed):
+        p = {
+            "n-1": n - 1,
+            "n": n,
+            "n+1": n + 1,
+            "quarter": max(1, n // 4),
+            "triple": 3 * n,
+        }[shape]
+        if kind == COMPLEX_GENERAL:
+            tau = modulus * complex(math.cos(phase), math.sin(phase))
+        else:
+            tau = modulus if phase < math.pi else -modulus
+        pair = sample_pair(EnsembleParams(sigma_x, 1.0, tau, kind=kind), Dims(n, p), seed)
+        fast = spectrum(pair, product).eigs
+        ref = reference_spectrum(pair, product).eigs
+        assert fast.dtype == ref.dtype == np.complex128
+        assert multiset_max_distance(fast, ref) <= _differential_tol(ref)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rank_deficient_y_takes_the_svd_fallback(self, kind):
+        tau = 0.4 if kind != COMPLEX_GENERAL else 0.3 + 0.2j
+        params = EnsembleParams(1.0, 1.0, tau, kind=kind)
+        tall = sample_pair(params, Dims(30, 12), seed=15)
+        wide = sample_pair(params, Dims(12, 30), seed=16)
+        # Full rank: the reduced path runs, so its bits differ from the SVD path's.
+        assert not np.array_equal(
+            spectrum(tall, PSEUDO_INVERSE).eigs, reference_spectrum(tall, PSEUDO_INVERSE).eigs
+        )
+        y_tall = tall.y_mat.copy()
+        y_tall[:, 5] = y_tall[:, 2]  # two equal columns
+        y_wide = wide.y_mat.copy()
+        y_wide[7, :] = y_wide[3, :]  # two equal rows
+        for planted in (
+            dataclasses.replace(tall, y_mat=y_tall),
+            dataclasses.replace(wide, y_mat=y_wide),
+        ):
+            got = spectrum(planted, PSEUDO_INVERSE).eigs
+            ref = reference_spectrum(planted, PSEUDO_INVERSE).eigs
+            assert np.array_equal(got, ref)
 
 
 class TestWaIdentity:

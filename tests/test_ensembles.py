@@ -39,6 +39,13 @@ class TestValidateParams:
         with pytest.raises(TauOutOfUnitDisc):
             validate_params(EnsembleParams(1.0, 1.0, 0.8 + 0.7j))
 
+    @pytest.mark.parametrize(
+        "tau", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)]
+    )
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(TauOutOfUnitDisc):
+            validate_params(EnsembleParams(1.0, 1.0, tau))
+
     def test_tau_on_unit_circle_allowed_with_rounding_slack(self):
         validate_params(EnsembleParams(1.0, 1.0, 1.0, kind=REAL))
         validate_params(EnsembleParams(1.0, 1.0, (1.0 + 1e-13) * 1j))
@@ -121,6 +128,13 @@ class TestSamplePair:
         assert pair.x_mat.shape == (7, 11)
         assert pair.y_mat.shape == (7, 11)
         assert pair.x_mat.dtype == np.complex128
+
+    def test_real_kind_is_float64_from_the_standard_fields(self):
+        n, p, seed = 20, 30, 5
+        pair = sample_pair(EnsembleParams(2.0, 1.0, 0.0, kind=REAL), Dims(n, p), seed)
+        assert pair.x_mat.dtype == pair.y_mat.dtype == np.float64
+        u = np.random.default_rng(seed).standard_normal((n, p)) * (1.0 / math.sqrt(n))
+        assert np.array_equal(pair.x_mat, 2.0 * u)
 
     def test_real_kind_has_exactly_zero_imag(self):
         pair = sample_pair(

@@ -1,6 +1,8 @@
 """Config round-trips, seed derivation, commands, and exit-code contract."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from pairspec import (
     CHECK_NAMES,
     CONJ_TRANSPOSE,
     COMPLEX_GENERAL,
+    COMPLEX_INDEPENDENT,
     PSEUDO_INVERSE,
+    REAL,
     AlphaOneUnsupported,
     ConfigError,
     ExperimentConfig,
@@ -118,6 +122,11 @@ class TestValidateConfig:
             {"product_kind": "outer"},
             {"sigma_x": -1.0},
             {"tau": 1.5},
+            {"tau": math.nan},
+            {"margin": math.inf},
+            {"margin": math.nan},
+            {"zero_tol": math.inf},
+            {"zero_tol": math.nan},
             {"threads": -2},
             {"base_seed": 2**64},
         ],
@@ -279,6 +288,38 @@ class TestCmdSweep:
         cell = json.loads(paths[0].read_text())
         assert cell["config"]["dims"] == [[32, 16]]
 
+    def test_bad_later_cell_fails_before_any_cell_runs(self, tmp_path):
+        # complex tau is invalid for complex_independent; only the second
+        # cell has one, and no report may be written for the first
+        cfg = _fast_config(
+            kind=COMPLEX_INDEPENDENT,
+            dims=((20, 40),),
+            trials=2,
+            sweep_taus=(0.0, 0.3 + 0.3j),
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_alpha_rounding_to_square_pseudo_inverse_is_a_config_error(self, tmp_path):
+        cfg = _fast_config(
+            dims=((40, 80),),
+            product_kind=PSEUDO_INVERSE,
+            checks=("coverage",),
+            trials=1,
+            sweep_alphas=(0.5, 1.01),
+        )
+        with pytest.raises(ConfigError, match="1.01"):
+            cmd_sweep(cfg, out_dir=tmp_path / "direct")
+        assert not (tmp_path / "direct").exists()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestCli:
     def test_verify_exit_zero(self, tmp_path, capsys):
@@ -300,6 +341,18 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"trials": 0}')
         assert main(["verify", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text", ['{"tau": NaN}', '{"margin": Infinity}', '{"zero_tol": Infinity}']
+    )
+    def test_non_finite_json_value_exits_two(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
+        field = text.split('"')[1]
+        assert field in capsys.readouterr().err
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
@@ -340,3 +393,32 @@ class TestCli:
         a = (tmp_path / "a" / "eigenvalues.csv").read_bytes()
         b = (tmp_path / "b" / "eigenvalues.csv").read_bytes()
         assert a != b
+
+
+class TestThreadCountDeterminism:
+    """threads = 1 and threads = 2 give the same CSV bytes and reports.
+
+    The dims are large enough that OpenBLAS runs multithreaded inside
+    each trial while the pool runs two trials at once.
+    """
+
+    @pytest.mark.parametrize("kind", [COMPLEX_INDEPENDENT, REAL])
+    def test_sample_and_verify_do_not_depend_on_threads(self, tmp_path, kind):
+        cfg = ExperimentConfig(
+            kind=kind,
+            tau=0.5,
+            dims=((400, 200), (300, 600)),
+            trials=2,
+            base_seed=31337,
+        )
+        csvs, reports = [], []
+        for threads in (1, 2):
+            run = replace(cfg, threads=threads)
+            out = tmp_path / f"threads{threads}"
+            csvs.append(cmd_sample(run, out_dir=out).read_bytes())
+            report = json.loads(cmd_verify(run, out_dir=out)[1].read_text())
+            report.pop("wall_time_s")
+            report["config"].pop("threads")
+            reports.append(report)
+        assert csvs[0] == csvs[1]
+        assert reports[0] == reports[1]

@@ -142,6 +142,17 @@ class TestEigenvalues:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFinite):
             eigenvalues(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NonFinite):
+            eigenvalues(np.array([[1.0, 0.0], [0.0, complex(0.0, np.nan)]]))
+
+    def test_real_input_with_real_spectrum_returns_complex128(self):
+        e = eigenvalues(np.diag([1.0, 2.0, 3.0]))
+        assert e.dtype == np.complex128
+
+    def test_real_input_stays_real_in_pseudo_inverse(self):
+        y = _gaussian(20, 8, seed=10, complex_entries=False)
+        assert pseudo_inverse(y).pinv.dtype == np.float64
+        assert pseudo_inverse(y.astype(complex)).pinv.dtype == np.complex128
 
 
 class TestMultisetMaxDistance:
