@@ -9,9 +9,10 @@ Subcommands::
 
 All subcommands share the flags --config (JSON experiment config; built-in
 defaults when omitted), --out (output directory), --seed (override the
-config's base seed), --threads (worker count, 0 = auto) and --strict
-(promote advisory check failures to fatal).  Exit codes: 0 success,
-1 verification failure, 2 configuration or I/O error.
+config's base seed), --threads (accepted for existing scripts; it has no
+effect, since trials run in order and BLAS supplies the parallelism) and
+--strict (promote advisory check failures to fatal).  Exit codes:
+0 success, 1 verification failure, 2 configuration or I/O error.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, metavar="U64", help="override the config base seed"
     )
     common.add_argument(
-        "--threads", type=int, metavar="N", help="worker threads (0 = auto)"
+        "--threads", type=int, metavar="N", help="accepted; has no effect"
     )
     common.add_argument(
         "--strict",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "coverage",
     "density_grid",
     "mean_eigenvalue",
+    "grand_mean",
 ]
 
 
@@ -258,11 +259,22 @@ def mean_eigenvalue(samples: Iterable[SpectrumSample]) -> tuple[complex, float]:
     as 0.
     """
     samples = list(samples)
-    if not samples:
+    return grand_mean([np.sum(s.eigs) for s in samples], [s.eigs.size for s in samples])
+
+
+def grand_mean(
+    trial_sums: Sequence[complex], trial_sizes: Sequence[int]
+) -> tuple[complex, float]:
+    """:func:`mean_eigenvalue` from each trial's eigenvalue sum and count.
+
+    Callers that keep only these two scalars per trial get the same
+    result, bit for bit, as from the full spectra.
+    """
+    if not len(trial_sums):
         raise EmptyInput("mean_eigenvalue needs at least one sample")
-    trial_means = np.array([np.mean(s.eigs) for s in samples])
-    total = sum(int(s.eigs.size) for s in samples)
-    grand = complex(sum(complex(np.sum(s.eigs)) for s in samples) / total)
+    trial_means = np.asarray(trial_sums, np.complex128) / np.asarray(trial_sizes)
+    total = sum(int(k) for k in trial_sizes)
+    grand = complex(sum(complex(s) for s in trial_sums) / total)
     t = trial_means.size
     if t < 2:
         return grand, 0.0

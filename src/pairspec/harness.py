@@ -2,12 +2,13 @@
 
 Everything here is deterministic by construction.  A config plus the
 package version fixes every random draw: per-trial seeds come from a
-counter-based mixing function, trials are aggregated in trial order even
-when executed concurrently, and text outputs are written with repr-exact
-floats and LF endings, so repeated runs produce byte-identical CSVs and
+counter-based mixing function, trials run in order on the calling thread,
+and text outputs are written with repr-exact floats and LF endings, so
+repeated runs at one BLAS thread count produce byte-identical CSVs and
 semantically identical JSON reports (wall time aside).
 
-The ``verify`` command runs a configurable battery of checks.  Exact
+The ``verify`` command runs a configurable battery of checks; five reduce
+one pass over ``sample``'s pairs, drawing each once.  Exact
 identities (Penrose conditions, product-ordering spectral identity,
 zero-atom counts, membership-route equivalence, the field-level parts of
 rotation covariance) fail fatally when violated.  Statistical support-
@@ -20,14 +21,14 @@ check failed.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .empirical import (
     SpectrumSample,
     coverage,
     default_zero_tol,
+    grand_mean,
     mean_eigenvalue,
     reference_spectrum,
     spectrum,
@@ -55,6 +57,8 @@ from .predict import (
     CONJ_TRANSPOSE,
     PRODUCT_KINDS,
     PSEUDO_INVERSE,
+    DiscSupport,
+    EllipseSupport,
     boundary_points,
     disc_support,
     ellipse_support,
@@ -96,10 +100,12 @@ SE_SIGMAS = 4.0
 ROTATION_ANGLE = math.pi / 3.0
 FIELD_TOL = 1e-12
 
-# Seed-counter strides keeping the per-check trial streams disjoint.
+# Seed-counter bases of the three streams; validate_config keeps them disjoint.
+# Rotation and disc_equivalence keep the bases of 0.1.0, and so its draws.
 _CHECK_SEED_STRIDE = 1_000_000
-_CHECK_SEED_BASE = {name: i * _CHECK_SEED_STRIDE for i, name in enumerate(CHECK_NAMES)}
-_SAMPLE_SEED_BASE = len(CHECK_NAMES) * _CHECK_SEED_STRIDE
+_EQUIV_SEED_BASE = 4 * _CHECK_SEED_STRIDE
+_ROTATION_SEED_BASE = 6 * _CHECK_SEED_STRIDE
+_SAMPLE_SEED_BASE = 7 * _CHECK_SEED_STRIDE
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -141,7 +147,7 @@ class ExperimentConfig:
     zero_tol: float | None = None  # None = automatic policy per spectrum
     checks: tuple[str, ...] = CHECK_NAMES
     strict: bool = False
-    threads: int = 0  # 0 = one worker per CPU
+    threads: int = 0  # accepted for existing configs; selects nothing
     out_dir: str | None = None
     sweep_taus: tuple[complex, ...] = ()
     sweep_alphas: tuple[float, ...] = ()
@@ -259,6 +265,8 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError(f"dims entries must be positive, got ({n}, {p})")
     if config.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {config.trials}")
+    if config.trials * len(config.dims) > _CHECK_SEED_STRIDE:
+        raise ConfigError(f"trials x len(dims) must be <= {_CHECK_SEED_STRIDE}")
     if config.base_seed < 0 or config.base_seed > _MASK64:
         raise ConfigError(f"base_seed must fit in 64 bits, got {config.base_seed}")
     if not (math.isfinite(config.margin) and config.margin >= 0.0):
@@ -277,8 +285,8 @@ def validate_config(config: ExperimentConfig) -> None:
     if config.threads < 0:
         raise ConfigError(f"threads must be >= 0, got {config.threads}")
     for a in config.sweep_alphas:
-        if not a > 0.0:
-            raise ConfigError(f"sweep_alphas entries must be positive, got {a}")
+        if not (math.isfinite(a) and a > 0.0):
+            raise ConfigError(f"sweep_alphas entries must be finite and > 0, got {a}")
 
 
 @dataclass(frozen=True)
@@ -316,37 +324,71 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _map_ordered(fn: Callable, jobs: Sequence, threads: int) -> list:
-    """Run jobs (possibly concurrently), returning results in job order."""
-    if threads == 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    workers = threads if threads > 0 else min(32, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def _spectra(
     config: ExperimentConfig,
     params: EnsembleParams,
     dims: Dims,
     product_kind: str,
     seed_base: int,
-    reference: bool = False,
 ) -> list[SpectrumSample]:
-    """config.trials spectra at consecutive derived seeds, trial-ordered.
+    """config.trials spectra at consecutive derived seeds, trial-ordered."""
+    seeds = [derive_seed(config.base_seed, seed_base + t) for t in range(config.trials)]
+    return [spectrum(sample_pair(params, dims, s), product_kind) for s in seeds]
 
-    ``reference`` selects the full-size SVD path, whose kernel zeros come
-    out of the eigensolver rather than being padded in.
+
+def _support(
+    params: EnsembleParams, alpha: float, product_kind: str
+) -> EllipseSupport | DiscSupport:
+    """The product's predicted support; AlphaOneUnsupported for X Y† at alpha = 1."""
+    if product_kind == CONJ_TRANSPOSE:
+        return ellipse_support(params, alpha)
+    return disc_support(params, alpha)
+
+
+def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
+    """Draw each (dims, trial) pair once and reduce it for the enabled checks.
+
+    Returns, for each check name, one list per dims entry of its per-trial
+    scalars in trial order: the largest Penrose residual, the product-
+    ordering (verdict, mismatch), the SVD reference path's zero count
+    (p < n only), the CoverageReport and the eigenvalue sum (under
+    ``mean_eigenvalue``).  A list stays empty unless its check is enabled.
+    The pairs are the ones ``cmd_sample`` writes, and one reduced-path
+    spectrum per pair feeds both ``coverage`` and ``mean_eigenvalue``.
     """
-
-    def one(trial: int) -> SpectrumSample:
-        seed = derive_seed(config.base_seed, seed_base + trial)
-        pair = sample_pair(params, dims, seed)
-        if reference:
-            return reference_spectrum(pair, product_kind)
-        return spectrum(pair, product_kind)
-
-    return _map_ordered(one, range(config.trials), config.threads)
+    on = set(config.checks)
+    params = config.ensemble_params()
+    records = {name: [[] for _ in config.dims] for name in CHECK_NAMES}
+    for d_i, (n, p) in enumerate(config.dims):
+        rec = {name: lists[d_i] for name, lists in records.items()}
+        support = None
+        if "coverage" in on:
+            with contextlib.suppress(AlphaOneUnsupported):  # coverage reports it
+                support = _support(params, p / n, config.product_kind)
+        zeros = "zero_atoms" in on and p < n
+        spec = support is not None or "mean_eigenvalue" in on
+        if not (zeros or spec or on & {"penrose", "weinstein_aronszajn"}):
+            continue
+        base = _SAMPLE_SEED_BASE + d_i * config.trials
+        for trial in range(config.trials):
+            seed = derive_seed(config.base_seed, base + trial)
+            pair = sample_pair(params, Dims(n, p), seed)
+            if "penrose" in on:
+                res = penrose_residuals(pair.y_mat, pseudo_inverse(pair.y_mat).pinv)
+                rec["penrose"].append(max(res.values()))
+            if "weinstein_aronszajn" in on:
+                rec["weinstein_aronszajn"].append(wa_identity_check(pair, tol=WA_TOL))
+            if zeros:
+                eigs = reference_spectrum(pair, PSEUDO_INVERSE).eigs
+                ztol = config.zero_tol or default_zero_tol(eigs)
+                rec["zero_atoms"].append(int(np.count_nonzero(np.abs(eigs) <= ztol)))
+            if spec:
+                s = spectrum(pair, config.product_kind)
+                rec["mean_eigenvalue"].append(complex(np.sum(s.eigs)))
+                if support is not None:
+                    rep = coverage(s, support, config.margin, config.zero_tol)
+                    rec["coverage"].append(rep)
+    return records
 
 
 def _fmt(x: float) -> str:
@@ -365,56 +407,29 @@ def _status(failed: bool, advisory_failed: bool, strict: bool) -> str:
 # individual checks
 
 
-def _check_penrose(config: ExperimentConfig) -> CheckResult:
+def _check_penrose(config: ExperimentConfig, records: list[list]) -> CheckResult:
     """All four pseudo-inverse defining identities hold to 1e-10."""
-    params = config.ensemble_params()
-    worst = 0.0
-    count = 0
-    for d_i, (n, p) in enumerate(config.dims):
-        dims = Dims(n, p)
-        base = _CHECK_SEED_BASE["penrose"] + d_i * config.trials
-
-        def one(trial: int) -> float:
-            pair = sample_pair(params, dims, derive_seed(config.base_seed, base + trial))
-            res = penrose_residuals(pair.y_mat, pseudo_inverse(pair.y_mat).pinv)
-            return max(res.values())
-
-        vals = _map_ordered(one, range(config.trials), config.threads)
-        worst = max(worst, max(vals))
-        count += len(vals)
+    residuals = [r for block in records for r in block]
+    worst = max(residuals)
     return CheckResult(
         name="penrose",
         status=_status(worst > PENROSE_TOL, False, config.strict),
-        stats={"max_residual": worst, "samples": count, "tol": PENROSE_TOL},
+        stats={"max_residual": worst, "samples": len(residuals), "tol": PENROSE_TOL},
     )
 
 
-def _check_wa(config: ExperimentConfig) -> CheckResult:
+def _check_wa(config: ExperimentConfig, records: list[list]) -> CheckResult:
     """Spectrum of X Y* equals spectrum of Y* X plus |N-P| zeros."""
-    params = config.ensemble_params()
-    worst = 0.0
-    all_ok = True
-    count = 0
-    for d_i, (n, p) in enumerate(config.dims):
-        dims = Dims(n, p)
-        base = _CHECK_SEED_BASE["weinstein_aronszajn"] + d_i * config.trials
-
-        def one(trial: int) -> tuple[bool, float]:
-            pair = sample_pair(params, dims, derive_seed(config.base_seed, base + trial))
-            return wa_identity_check(pair, tol=WA_TOL)
-
-        for ok, mismatch in _map_ordered(one, range(config.trials), config.threads):
-            all_ok = all_ok and ok
-            worst = max(worst, mismatch)
-            count += 1
+    results = [r for block in records for r in block]
+    worst = max(mismatch for _, mismatch in results)
     return CheckResult(
         name="weinstein_aronszajn",
-        status=_status(not all_ok, False, config.strict),
-        stats={"max_mismatch": worst, "samples": count, "tol": WA_TOL},
+        status=_status(not all(ok for ok, _ in results), False, config.strict),
+        stats={"max_mismatch": worst, "samples": len(results), "tol": WA_TOL},
     )
 
 
-def _check_zero_atoms(config: ExperimentConfig) -> CheckResult:
+def _check_zero_atoms(config: ExperimentConfig, records: list[list]) -> CheckResult:
     """X Y† at p < n: at least n-p exact zeros, fraction near 1 - p/n.
 
     The count bound is an exact rank statement and fails fatally; the
@@ -423,8 +438,7 @@ def _check_zero_atoms(config: ExperimentConfig) -> CheckResult:
     reference path: the reduced path pads exactly n - p zeros, which would
     pass the count by construction.
     """
-    params = config.ensemble_params()
-    rect = [(d_i, n, p) for d_i, (n, p) in enumerate(config.dims) if p < n]
+    rect = [(n, p, c) for (n, p), c in zip(config.dims, records) if p < n]
     if not rect:
         return CheckResult(
             name="zero_atoms",
@@ -435,14 +449,7 @@ def _check_zero_atoms(config: ExperimentConfig) -> CheckResult:
     fatal = False
     advisory = False
     per_dims: list[dict[str, Any]] = []
-    for d_i, n, p in rect:
-        dims = Dims(n, p)
-        base = _CHECK_SEED_BASE["zero_atoms"] + d_i * config.trials
-        samples = _spectra(config, params, dims, PSEUDO_INVERSE, base, reference=True)
-        counts = []
-        for s in samples:
-            ztol = config.zero_tol or default_zero_tol(s.eigs)
-            counts.append(int(np.count_nonzero(np.abs(s.eigs) <= ztol)))
+    for n, p, counts in rect:
         min_count = min(counts)
         mean_frac = float(np.mean(counts)) / n
         expected = 1.0 - p / n
@@ -467,7 +474,7 @@ def _check_zero_atoms(config: ExperimentConfig) -> CheckResult:
     )
 
 
-def _check_coverage(config: ExperimentConfig) -> CheckResult:
+def _check_coverage(config: ExperimentConfig, records: list[list]) -> CheckResult:
     """Eigenvalue clouds fill the predicted margin-dilated support.
 
     Support convergence at finite N is conjectural, so a shortfall below
@@ -480,38 +487,23 @@ def _check_coverage(config: ExperimentConfig) -> CheckResult:
     fatal = False
     advisory = False
     note = ""
-    for d_i, (n, p) in enumerate(config.dims):
-        dims = Dims(n, p)
-        alpha = dims.alpha
+    for (n, p), reps in zip(config.dims, records):
         try:
-            if config.product_kind == CONJ_TRANSPOSE:
-                support = ellipse_support(params, alpha)
-            else:
-                support = disc_support(params, alpha)
+            _support(params, p / n, config.product_kind)
         except AlphaOneUnsupported as exc:
             fatal = True
             note = f"dims ({n}, {p}): {exc}"
             per_dims.append({"n": n, "p": p, "error": type(exc).__name__})
             continue
-        base = _CHECK_SEED_BASE["coverage"] + d_i * config.trials
-        samples = _spectra(config, params, dims, config.product_kind, base)
-        inside_total = 0
-        zero_total = 0
-        worst_excess = 0.0
-        for s in samples:
-            rep = coverage(s, support, margin=config.margin, zero_tol=config.zero_tol)
-            inside_total += s.eigs.size - rep.outlier_count
-            zero_total += rep.zero_count
-            worst_excess = max(worst_excess, rep.max_excess)
-        frac = inside_total / (n * config.trials)
+        frac = sum(n - r.outlier_count for r in reps) / (n * config.trials)
         advisory = advisory or frac < COVERAGE_MIN_INSIDE
         per_dims.append(
             {
                 "n": n,
                 "p": p,
                 "inside_fraction": frac,
-                "zero_count_total": zero_total,
-                "max_excess": worst_excess,
+                "zero_count_total": sum(r.zero_count for r in reps),
+                "max_excess": max(r.max_excess for r in reps),
                 "margin": config.margin,
             }
         )
@@ -523,16 +515,16 @@ def _check_coverage(config: ExperimentConfig) -> CheckResult:
     )
 
 
-def _check_disc_equivalence(config: ExperimentConfig) -> CheckResult:
+def _check_disc_equivalence(
+    config: ExperimentConfig, _records: list[list]
+) -> CheckResult:
     """The correlation route and the disc inequality agree pointwise.
 
     Random parameters and probe points; points whose disc quadratic form
     sits within 1e-9 of the boundary are excluded (the two routes may
     round a tie differently).  Any remaining disagreement is fatal.
     """
-    rng = np.random.default_rng(
-        derive_seed(config.base_seed, _CHECK_SEED_BASE["disc_equivalence"])
-    )
+    rng = np.random.default_rng(derive_seed(config.base_seed, _EQUIV_SEED_BASE))
     draws = 0
     skipped_band = 0
     skipped_zero = 0
@@ -574,17 +566,16 @@ def _check_disc_equivalence(config: ExperimentConfig) -> CheckResult:
     )
 
 
-def _check_mean_eigenvalue(config: ExperimentConfig) -> CheckResult:
+def _check_mean_eigenvalue(
+    config: ExperimentConfig, records: list[list]
+) -> CheckResult:
     """Grand mean eigenvalue matches its exact expectation within 4 SE."""
     params = config.ensemble_params()
     per_dims: list[dict[str, Any]] = []
     failed = False
-    for d_i, (n, p) in enumerate(config.dims):
-        dims = Dims(n, p)
-        base = _CHECK_SEED_BASE["mean_eigenvalue"] + d_i * config.trials
-        samples = _spectra(config, params, dims, config.product_kind, base)
-        mean, se = mean_eigenvalue(samples)
-        pred = mean_eigenvalue_prediction(params, dims.alpha, config.product_kind)
+    for (n, p), sums in zip(config.dims, records):
+        mean, se = grand_mean(sums, [n] * len(sums))
+        pred = mean_eigenvalue_prediction(params, p / n, config.product_kind)
         dev = abs(mean - pred)
         ok = dev <= SE_SIGMAS * se if se > 0.0 else dev <= 1e-9
         failed = failed or not ok
@@ -607,7 +598,7 @@ def _check_mean_eigenvalue(config: ExperimentConfig) -> CheckResult:
     )
 
 
-def _check_rotation(config: ExperimentConfig) -> CheckResult:
+def _check_rotation(config: ExperimentConfig, _records: list[list]) -> CheckResult:
     """Multiplying tau by a phase rotates the predicted and empirical spectra.
 
     Field level (exact): the ellipse for tau * e^{i theta} has a rotated
@@ -644,7 +635,7 @@ def _check_rotation(config: ExperimentConfig) -> CheckResult:
     # underlying standard fields, which tightens the comparison.
     n, p = config.dims[0]
     dims = Dims(n, p)
-    base = _CHECK_SEED_BASE["rotation"]
+    base = _ROTATION_SEED_BASE
     base_samples = _spectra(config, base_params, dims, CONJ_TRANSPOSE, base)
     rot_samples = _spectra(config, rot_params, dims, CONJ_TRANSPOSE, base)
     m0, se0 = mean_eigenvalue(base_samples)
@@ -668,7 +659,7 @@ def _check_rotation(config: ExperimentConfig) -> CheckResult:
     )
 
 
-_CHECK_FUNCS: dict[str, Callable[[ExperimentConfig], CheckResult]] = {
+_CHECK_FUNCS: dict[str, Callable[[ExperimentConfig, list[list]], CheckResult]] = {
     "penrose": _check_penrose,
     "weinstein_aronszajn": _check_wa,
     "zero_atoms": _check_zero_atoms,
@@ -734,10 +725,7 @@ def cmd_boundary(
     params = config.ensemble_params()
     n, p = config.dims[0]
     alpha = Dims(n, p).alpha
-    if config.product_kind == CONJ_TRANSPOSE:
-        support = ellipse_support(params, alpha)
-    else:
-        support = disc_support(params, alpha)
+    support = _support(params, alpha, config.product_kind)
     pts = boundary_points(support, count=512)
     path = out / "boundary.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -749,9 +737,14 @@ def cmd_boundary(
     return path
 
 
-def _run_checks(config: ExperimentConfig) -> VerificationReport:
+def _run_checks(config: ExperimentConfig, shared: dict) -> VerificationReport:
+    """Run the configured checks, taking any named in ``shared`` from it."""
     started = time.perf_counter()
-    results = tuple(_CHECK_FUNCS[name](config) for name in config.checks)
+    records = _trial_records(config)
+    results = tuple(
+        shared[name] if name in shared else _CHECK_FUNCS[name](config, records[name])
+        for name in config.checks
+    )
     failed = any(r.status == "fail" for r in results)
     return VerificationReport(
         version=PACKAGE_VERSION,
@@ -778,7 +771,7 @@ def cmd_verify(
     """
     validate_config(config)
     out = _resolve_out(config, out_dir)
-    report = _run_checks(config)
+    report = _run_checks(config, {})
     path = out / "report.json"
     _write_report(report, path)
     return report, path
@@ -795,7 +788,9 @@ def cmd_sweep(
     first one runs, so a bad cell leaves no reports behind.  A
     pseudo-inverse cell whose alpha != 1 rounds to the square shape
     (n0, n0), which has no disc prediction, is a ConfigError.  The
-    returned exit code is 0 iff every cell passed.
+    returned exit code is 0 iff every cell passed.  Cells share trial seeds
+    (common random numbers); ``disc_equivalence``, which reads neither tau
+    nor dims, runs once for all of them.
     """
     validate_config(config)
     taus = config.sweep_taus or (config.tau,)
@@ -816,11 +811,14 @@ def cmd_sweep(
             except ConfigError as exc:
                 raise ConfigError(f"sweep cell tau{i}_alpha{j}: {exc}") from exc
             cells.append((f"report_tau{i}_alpha{j}.json", cell))
+    shared = {}
+    if "disc_equivalence" in config.checks:
+        shared["disc_equivalence"] = _check_disc_equivalence(config, [])
     out = _resolve_out(config, out_dir)
     paths: list[Path] = []
     worst = 0
     for name, cell in cells:
-        report = _run_checks(cell)
+        report = _run_checks(cell, shared)
         path = out / name
         _write_report(report, path)
         paths.append(path)

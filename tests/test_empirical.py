@@ -26,6 +26,7 @@ from pairspec import (
     density_grid,
     disc_support,
     eigenvalues,
+    grand_mean,
     mean_eigenvalue,
     multiset_max_distance,
     reference_spectrum,
@@ -303,6 +304,22 @@ class TestMeanEigenvalue:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             mean_eigenvalue([])
+
+    def test_grand_mean_of_trial_sums_is_bit_identical(self):
+        params = EnsembleParams(1.0, 1.0, 0.5)
+        samples = [
+            spectrum(sample_pair(params, Dims(30, 60), seed=s), PSEUDO_INVERSE)
+            for s in range(5)
+        ]
+        # the reference: the same statistics taken from the spectra themselves
+        trial_means = np.array([np.mean(s.eigs) for s in samples])
+        total = sum(s.eigs.size for s in samples)
+        grand = complex(sum(complex(np.sum(s.eigs)) for s in samples) / total)
+        scatter = float(np.mean(np.abs(trial_means - trial_means.mean()) ** 2))
+        se = float(np.sqrt(scatter / (len(samples) - 1)))
+        sums = [complex(np.sum(s.eigs)) for s in samples]
+        assert grand_mean(sums, [s.eigs.size for s in samples]) == (grand, se)
+        assert mean_eigenvalue(samples) == (grand, se)
 
     def test_uncorrelated_mean_is_zero(self):
         samples = [

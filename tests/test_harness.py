@@ -2,6 +2,8 @@
 
 import json
 import math
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +26,9 @@ from pairspec import (
     derive_seed,
     validate_config,
 )
+from pairspec import harness
 from pairspec.cli import main
+from pairspec.harness import EQUIV_DRAWS
 
 
 def _fast_config(**overrides):
@@ -129,11 +133,17 @@ class TestValidateConfig:
             {"zero_tol": math.nan},
             {"threads": -2},
             {"base_seed": 2**64},
+            {"sweep_alphas": (math.inf,)},
+            # past 10**6 trials x dims the rotation stream runs into the trials'
+            {"trials": 600_000, "dims": ((400, 200), (400, 800))},
         ],
     )
     def test_bad_configs_rejected(self, overrides):
         with pytest.raises(ConfigError):
             validate_config(ExperimentConfig(**overrides))
+
+    def test_seed_stream_limit_is_inclusive(self):
+        validate_config(ExperimentConfig(trials=500_000, dims=((4, 2), (4, 8))))
 
     def test_square_dims_allowed_at_validation(self):
         # a square-aspect pseudo-inverse config is caught by the coverage
@@ -343,7 +353,13 @@ class TestCli:
         assert main(["verify", "--config", str(cfg_path)]) == 2
 
     @pytest.mark.parametrize(
-        "text", ['{"tau": NaN}', '{"margin": Infinity}', '{"zero_tol": Infinity}']
+        "text",
+        [
+            '{"tau": NaN}',
+            '{"margin": Infinity}',
+            '{"zero_tol": Infinity}',
+            '{"sweep_alphas": [Infinity]}',
+        ],
     )
     def test_non_finite_json_value_exits_two(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.json"
@@ -398,8 +414,8 @@ class TestCli:
 class TestThreadCountDeterminism:
     """threads = 1 and threads = 2 give the same CSV bytes and reports.
 
-    The dims are large enough that OpenBLAS runs multithreaded inside
-    each trial while the pool runs two trials at once.
+    The field selects nothing; the dims are large enough that OpenBLAS
+    runs multithreaded inside each trial.
     """
 
     @pytest.mark.parametrize("kind", [COMPLEX_INDEPENDENT, REAL])
@@ -422,3 +438,84 @@ class TestThreadCountDeterminism:
             reports.append(report)
         assert csvs[0] == csvs[1]
         assert reports[0] == reports[1]
+
+
+def _count_calls(monkeypatch, name, calls):
+    """Replace harness.<name> with a wrapper that counts its calls."""
+    real = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+
+
+class TestTrialPipeline:
+    """verify draws each (dims, trial) pair once and reduces it for every check."""
+
+    def test_each_pair_is_drawn_and_solved_once(self, tmp_path, monkeypatch):
+        cfg = _fast_config(dims=((24, 12), (20, 40)), checks=CHECK_NAMES)
+        calls = Counter()
+        _count_calls(monkeypatch, "sample_pair", calls)
+        _count_calls(monkeypatch, "spectrum", calls)
+        cmd_verify(cfg, out_dir=tmp_path)
+        # one pass over dims x trials, plus rotation's two seed-matched streams
+        want = len(cfg.dims) * cfg.trials + 2 * cfg.trials
+        assert calls == {"sample_pair": want, "spectrum": want}
+
+    def test_mean_eigenvalue_reduces_the_sampled_spectra(self, tmp_path):
+        cfg = _fast_config(
+            dims=((24, 12), (20, 40)), trials=4, checks=("mean_eigenvalue",)
+        )
+        csv = cmd_sample(cfg, out_dir=tmp_path).read_text()
+        rows = [r.split(",") for r in csv.splitlines()[1:]]
+        report, _ = cmd_verify(cfg, out_dir=tmp_path)
+        for entry in report.checks[0].stats["per_dims"]:
+            lams = [
+                complex(float(re), float(im))
+                for _, n, p, re, im in rows
+                if (int(n), int(p)) == (entry["n"], entry["p"])
+            ]
+            assert len(lams) == entry["n"] * cfg.trials
+            want = sum(lams) / len(lams)
+            got = complex(entry["mean_re"], entry["mean_im"])
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_sweep_runs_disc_equivalence_once(self, tmp_path, monkeypatch):
+        cfg = _fast_config(
+            dims=((20, 40),),
+            trials=1,
+            checks=("penrose", "disc_equivalence"),
+            sweep_taus=(0.0, 0.5),
+            sweep_alphas=(0.5, 2.0),
+        )
+        calls = Counter()
+        _count_calls(monkeypatch, "in_support_via_tau", calls)
+        paths, code = cmd_sweep(cfg, out_dir=tmp_path)
+        assert code == 0
+        assert calls["in_support_via_tau"] == EQUIV_DRAWS
+        stats = [
+            c["stats"]
+            for path in paths
+            for c in json.loads(path.read_text())["checks"]
+            if c["name"] == "disc_equivalence"
+        ]
+        assert len(stats) == 4
+        assert all(s == stats[0] for s in stats)
+
+    def test_trials_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        before = threading.active_count()
+        seen = []
+        real = harness.sample_pair
+
+        def spy(*args, **kwargs):
+            seen.append(threading.active_count())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_pair", spy)
+        cmd_verify(_fast_config(checks=CHECK_NAMES, threads=2), out_dir=tmp_path / "v")
+        sweep = _fast_config(checks=CHECK_NAMES, threads=2, sweep_alphas=(0.5, 2.0))
+        cmd_sweep(sweep, out_dir=tmp_path / "s")
+        assert seen
+        assert set(seen) == {before}
