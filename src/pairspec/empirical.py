@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ensembles import Dims, EnsembleParams, MatrixPair
-from .errors import DegenerateWindow, EmptyInput
+from .errors import EmptyInput
 from .matalg import eigenvalues, multiset_max_distance, pseudo_inverse
 from .predict import (
     CONJ_TRANSPOSE,
@@ -42,7 +42,6 @@ __all__ = [
     "wa_identity_check",
     "default_zero_tol",
     "coverage",
-    "density_grid",
     "mean_eigenvalue",
     "grand_mean",
 ]
@@ -217,36 +216,6 @@ def coverage(
         max_excess=max(max_excess, 0.0),
         zero_count=int(is_zero.sum()),
     )
-
-
-def density_grid(
-    samples: SpectrumSample | Iterable[SpectrumSample],
-    window: tuple[float, float, float, float],
-    bins: tuple[int, int],
-) -> np.ndarray:
-    """Eigenvalue counts on a regular grid over a complex rectangle.
-
-    ``window`` is (re_min, re_max, im_min, im_max); the result has shape
-    (nx, ny) with the real axis first.  Eigenvalues outside the window
-    are dropped, so the grid total equals the number falling inside.
-    """
-    re_min, re_max, im_min, im_max = (float(v) for v in window)
-    if not (re_min < re_max and im_min < im_max):
-        raise DegenerateWindow(f"window {window} has no interior")
-    nx, ny = bins
-    if nx < 1 or ny < 1:
-        raise ValueError(f"bins must be >= 1 each, got {bins}")
-    if isinstance(samples, SpectrumSample):
-        samples = [samples]
-    eigs_list = [s.eigs for s in samples]
-    eigs = np.concatenate(eigs_list) if eigs_list else np.empty(0, np.complex128)
-    counts, _, _ = np.histogram2d(
-        eigs.real,
-        eigs.imag,
-        bins=(nx, ny),
-        range=[[re_min, re_max], [im_min, im_max]],
-    )
-    return counts.astype(np.int64)
 
 
 def mean_eigenvalue(samples: Iterable[SpectrumSample]) -> tuple[complex, float]:

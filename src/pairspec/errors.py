@@ -45,10 +45,6 @@ class LambdaZero(PairspecError):
     """The evaluation point must be nonzero."""
 
 
-class DegenerateWindow(PairspecError):
-    """A histogram window or bin count is empty or inverted."""
-
-
 class EmptyInput(PairspecError):
     """At least one sample is required."""
 

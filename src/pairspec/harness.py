@@ -36,6 +36,7 @@ from ._version import PACKAGE_VERSION
 from .ensembles import (
     COMPLEX_GENERAL,
     COMPLEX_INDEPENDENT,
+    REAL,
     Dims,
     EnsembleParams,
     sample_pair,
@@ -48,11 +49,10 @@ from .empirical import (
     default_zero_tol,
     grand_mean,
     mean_eigenvalue,
-    reference_spectrum,
     spectrum,
     wa_identity_check,
 )
-from .matalg import penrose_residuals, pseudo_inverse
+from .matalg import eigenvalues, penrose_residuals, pseudo_inverse
 from .predict import (
     CONJ_TRANSPOSE,
     PRODUCT_KINDS,
@@ -130,9 +130,64 @@ def derive_seed(base_seed: int, trial_index: int) -> int:
     return z
 
 
+def _number(value: Any, name: str) -> float:
+    """A finite int or float, as a float; a bool or a string is not a number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int past float range
+            if math.isfinite(value):
+                return float(value)
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _integer(value: Any, name: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _pair(value: Any, name: str, parse: Callable[[Any, str], Any]) -> tuple:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{name} must be a pair, got {value!r}")
+    return parse(value[0], name), parse(value[1], name)
+
+
+def _complex(value: Any, name: str) -> complex:
+    """A number, a complex, or an [re, im] pair, all parts finite."""
+    if isinstance(value, complex):
+        value = (value.real, value.imag)
+    if isinstance(value, (list, tuple)):
+        return complex(*_pair(value, name, _number))
+    return complex(_number(value, name))
+
+
+def _of_type(*kinds: type) -> Callable[[Any, str], Any]:
+    def parse(value: Any, name: str) -> Any:
+        if not isinstance(value, kinds):
+            want = " or ".join(k.__name__ for k in kinds)
+            raise ConfigError(f"{name} must be {want}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _tuple_of(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
+    def parse_all(value: Any, name: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(parse(v, f"{name}[{i}]") for i, v in enumerate(value))
+
+    return parse_all
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run depends on; JSON round-trips exactly."""
+    """Everything one run depends on; JSON round-trips exactly.
+
+    Construction is the one parse-and-validate path: each field must have
+    its type (no coercion), and the result must pass
+    :func:`validate_config`, else ConfigError.  So every instance is
+    valid, and ``dataclasses.replace`` checks again.
+    """
 
     sigma_x: float = 1.0
     sigma_y: float = 1.0
@@ -153,33 +208,9 @@ class ExperimentConfig:
     sweep_alphas: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        coerce = {
-            "sigma_x": float,
-            "sigma_y": float,
-            "tau": complex,
-            "kind": str,
-            "split": float,
-            "product_kind": str,
-            "trials": int,
-            "base_seed": int,
-            "margin": float,
-            "strict": bool,
-            "threads": int,
-        }
-        for name, conv in coerce.items():
-            object.__setattr__(self, name, conv(getattr(self, name)))
-        if self.zero_tol is not None:
-            object.__setattr__(self, "zero_tol", float(self.zero_tol))
-        object.__setattr__(
-            self, "dims", tuple((int(n), int(p)) for n, p in self.dims)
-        )
-        object.__setattr__(self, "checks", tuple(str(c) for c in self.checks))
-        object.__setattr__(
-            self, "sweep_taus", tuple(complex(t) for t in self.sweep_taus)
-        )
-        object.__setattr__(
-            self, "sweep_alphas", tuple(float(a) for a in self.sweep_alphas)
-        )
+        for name, parse in _FIELD_PARSERS.items():
+            object.__setattr__(self, name, parse(getattr(self, name), name))
+        validate_config(self)
 
     def ensemble_params(self, tau: complex | None = None) -> EnsembleParams:
         return EnsembleParams(
@@ -209,47 +240,45 @@ class ExperimentConfig:
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs: dict[str, Any] = dict(data)
-        try:
-            if "tau" in kwargs:
-                kwargs["tau"] = _parse_complex(kwargs["tau"])
-            if "sweep_taus" in kwargs:
-                kwargs["sweep_taus"] = tuple(
-                    _parse_complex(t) for t in kwargs["sweep_taus"]
-                )
-            if "dims" in kwargs:
-                kwargs["dims"] = tuple(
-                    (int(pair[0]), int(pair[1])) for pair in kwargs["dims"]
-                )
-            if "checks" in kwargs:
-                kwargs["checks"] = tuple(kwargs["checks"])
-            if "sweep_alphas" in kwargs:
-                kwargs["sweep_alphas"] = tuple(kwargs["sweep_alphas"])
-            return cls(**kwargs)
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
+        return cls(**data)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_json_dict(data)
 
 
-def _parse_complex(value: Any) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ConfigError(f"complex value needs [re, im], got {value!r}")
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float)):
-        return complex(value)
-    raise ConfigError(f"cannot read complex value from {value!r}")
+_FIELD_PARSERS: dict[str, Callable[[Any, str], Any]] = {
+    "sigma_x": _number,
+    "sigma_y": _number,
+    "tau": _complex,
+    "kind": _of_type(str),
+    "split": _number,
+    "dims": _tuple_of(lambda v, name: _pair(v, name, _integer)),
+    "product_kind": _of_type(str),
+    "trials": _integer,
+    "base_seed": _integer,
+    "margin": _number,
+    "zero_tol": lambda v, name: None if v is None else _number(v, name),
+    "checks": _tuple_of(_of_type(str)),
+    "strict": _of_type(bool),
+    "threads": _integer,
+    "out_dir": _of_type(str, type(None)),
+    "sweep_taus": _tuple_of(_complex),
+    "sweep_alphas": _tuple_of(_number),
+}
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    """Raise ConfigError unless the config is fully usable."""
+    """Raise ConfigError unless the config's values are in range and agree.
+
+    Field types are checked before this runs, by the constructor.  Each
+    dims entry must fit one trial's working set -- X, Y and one
+    max(n, p)^2 product -- in physical memory.
+    """
     try:
         validate_params(config.ensemble_params())
     except (PairspecError, ValueError) as exc:
@@ -260,33 +289,42 @@ def validate_config(config: ExperimentConfig) -> None:
         )
     if not config.dims:
         raise ConfigError("dims must list at least one (n, p) shape")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    itemsize = 8 if config.kind == REAL else 16
     for n, p in config.dims:
         if n < 1 or p < 1:
             raise ConfigError(f"dims entries must be positive, got ({n}, {p})")
+        need = (2 * n * p + max(n, p) ** 2) * itemsize
+        if need > memory:
+            raise ConfigError(
+                f"dims ({n}, {p}) need at least {need >> 30} GiB for one trial; "
+                f"physical memory is {memory / 2**30:.1f} GiB"
+            )
     if config.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {config.trials}")
     if config.trials * len(config.dims) > _CHECK_SEED_STRIDE:
         raise ConfigError(f"trials x len(dims) must be <= {_CHECK_SEED_STRIDE}")
     if config.base_seed < 0 or config.base_seed > _MASK64:
         raise ConfigError(f"base_seed must fit in 64 bits, got {config.base_seed}")
-    if not (math.isfinite(config.margin) and config.margin >= 0.0):
-        raise ConfigError(f"margin must be finite and >= 0, got {config.margin}")
-    if config.zero_tol is not None and not (
-        math.isfinite(config.zero_tol) and config.zero_tol > 0.0
-    ):
-        raise ConfigError(
-            f"zero_tol must be finite and positive, or null, got {config.zero_tol}"
-        )
+    if config.margin < 0.0:
+        raise ConfigError(f"margin must be >= 0, got {config.margin}")
+    if config.zero_tol is not None and config.zero_tol <= 0.0:
+        raise ConfigError(f"zero_tol must be positive, or null, got {config.zero_tol}")
     bad = [c for c in config.checks if c not in CHECK_NAMES]
     if bad:
         raise ConfigError(f"unknown checks {bad}; known: {list(CHECK_NAMES)}")
     if not config.checks:
         raise ConfigError("checks must not be empty")
+    if len(set(config.checks)) != len(config.checks):
+        raise ConfigError(f"checks must not repeat, got {list(config.checks)}")
     if config.threads < 0:
         raise ConfigError(f"threads must be >= 0, got {config.threads}")
+    n0 = config.dims[0][0]
     for a in config.sweep_alphas:
-        if not (math.isfinite(a) and a > 0.0):
-            raise ConfigError(f"sweep_alphas entries must be finite and > 0, got {a}")
+        if not (a > 0.0 and math.isfinite(a * n0)):  # a sweep cell has p = a * n0
+            raise ConfigError(
+                f"sweep_alphas entries must be > 0 with alpha * n0 finite, got {a}"
+            )
 
 
 @dataclass(frozen=True)
@@ -350,11 +388,12 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
 
     Returns, for each check name, one list per dims entry of its per-trial
     scalars in trial order: the largest Penrose residual, the product-
-    ordering (verdict, mismatch), the SVD reference path's zero count
-    (p < n only), the CoverageReport and the eigenvalue sum (under
-    ``mean_eigenvalue``).  A list stays empty unless its check is enabled.
-    The pairs are the ones ``cmd_sample`` writes, and one reduced-path
-    spectrum per pair feeds both ``coverage`` and ``mean_eigenvalue``.
+    ordering (verdict, mismatch), the zero count of X Y† on the SVD
+    reference path (p < n only), the CoverageReport and the eigenvalue sum
+    (under ``mean_eigenvalue``).  A list stays empty unless its check is
+    enabled.  The pairs are the ones ``cmd_sample`` writes; one SVD
+    pseudo-inverse per pair feeds both ``penrose`` and ``zero_atoms``, and
+    one reduced-path spectrum both ``coverage`` and ``mean_eigenvalue``.
     """
     on = set(config.checks)
     params = config.ensemble_params()
@@ -373,13 +412,15 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
         for trial in range(config.trials):
             seed = derive_seed(config.base_seed, base + trial)
             pair = sample_pair(params, Dims(n, p), seed)
+            if "penrose" in on or zeros:
+                pinv = pseudo_inverse(pair.y_mat).pinv
             if "penrose" in on:
-                res = penrose_residuals(pair.y_mat, pseudo_inverse(pair.y_mat).pinv)
+                res = penrose_residuals(pair.y_mat, pinv)
                 rec["penrose"].append(max(res.values()))
             if "weinstein_aronszajn" in on:
                 rec["weinstein_aronszajn"].append(wa_identity_check(pair, tol=WA_TOL))
-            if zeros:
-                eigs = reference_spectrum(pair, PSEUDO_INVERSE).eigs
+            if zeros:  # what reference_spectrum computes for X Y†
+                eigs = eigenvalues(pair.x_mat @ pinv)
                 ztol = config.zero_tol or default_zero_tol(eigs)
                 rec["zero_atoms"].append(int(np.count_nonzero(np.abs(eigs) <= ztol)))
             if spec:
@@ -688,7 +729,6 @@ def cmd_sample(
     Columns: trial, n, p, re_lambda, im_lambda.  The trial column counts
     within each dims block; floats are repr-exact, line endings LF.
     """
-    validate_config(config)
     out = _resolve_out(config, out_dir)
     params = config.ensemble_params()
     path = out / "eigenvalues.csv"
@@ -720,7 +760,6 @@ def cmd_boundary(
     support carries an atom.  Square-aspect pseudo-inverse configs have
     no boundary and raise.
     """
-    validate_config(config)
     out = _resolve_out(config, out_dir)
     params = config.ensemble_params()
     n, p = config.dims[0]
@@ -769,7 +808,6 @@ def cmd_verify(
     The report's exit_code is 0 iff no check ended in status "fail";
     advisory shortfalls do not change it unless the config is strict.
     """
-    validate_config(config)
     out = _resolve_out(config, out_dir)
     report = _run_checks(config, {})
     path = out / "report.json"
@@ -792,7 +830,6 @@ def cmd_sweep(
     (common random numbers); ``disc_equivalence``, which reads neither tau
     nor dims, runs once for all of them.
     """
-    validate_config(config)
     taus = config.sweep_taus or (config.tau,)
     alphas = config.sweep_alphas or (Dims(*config.dims[0]).alpha,)
     n0 = config.dims[0][0]
@@ -805,9 +842,8 @@ def cmd_sweep(
                     f"sweep alpha {alpha} rounds to the square shape ({n0}, {n0}) "
                     f"at n0 = {n0}; pseudo_inverse has no prediction there"
                 )
-            cell = replace(config, tau=tau, dims=((n0, p),))
             try:
-                validate_config(cell)
+                cell = replace(config, tau=tau, dims=((n0, p),))
             except ConfigError as exc:
                 raise ConfigError(f"sweep cell tau{i}_alpha{j}: {exc}") from exc
             cells.append((f"report_tau{i}_alpha{j}.json", cell))

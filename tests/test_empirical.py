@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from pairspec import (
     COMPLEX_GENERAL,
@@ -16,14 +15,12 @@ from pairspec import (
     PRODUCT_KINDS,
     PSEUDO_INVERSE,
     REAL,
-    DegenerateWindow,
     Dims,
     EmptyInput,
     EnsembleParams,
     SpectrumSample,
     coverage,
     default_zero_tol,
-    density_grid,
     disc_support,
     eigenvalues,
     grand_mean,
@@ -260,39 +257,6 @@ class TestCoverage:
         d = disc_support(UNIT, alpha=2.0)
         with pytest.raises(ValueError):
             coverage(_synthetic([1.0]), d, zero_tol=0.0)
-
-
-class TestDensityGrid:
-    def test_single_point_single_cell(self):
-        grid = density_grid(_synthetic([0.5 + 0.5j]), (0.0, 1.0, 0.0, 1.0), (1, 1))
-        assert grid.tolist() == [[1]]
-
-    def test_no_samples_all_zero(self):
-        grid = density_grid([], (0.0, 1.0, 0.0, 1.0), (3, 4))
-        assert grid.shape == (3, 4)
-        assert grid.sum() == 0
-
-    def test_total_counts_points_in_window(self):
-        eigs = [0.1 + 0.1j, 0.9 + 0.9j, 5.0 + 0.0j]  # last falls outside
-        grid = density_grid(_synthetic(eigs), (0.0, 1.0, 0.0, 1.0), (4, 4))
-        assert grid.sum() == 2
-
-    def test_uniform_points_pass_chi_square(self):
-        rng = np.random.default_rng(13)
-        pts = rng.uniform(0.0, 1.0, (20000, 2))
-        sample = _synthetic(pts[:, 0] + 1j * pts[:, 1], n=20000)
-        grid = density_grid(sample, (0.0, 1.0, 0.0, 1.0), (10, 10))
-        expected = 20000 / 100.0
-        chi2 = float(np.sum((grid - expected) ** 2 / expected))
-        assert chi2 < stats.chi2.ppf(0.99, df=99)
-
-    def test_degenerate_window_rejected(self):
-        with pytest.raises(DegenerateWindow):
-            density_grid(_synthetic([0.0]), (1.0, 1.0, 0.0, 1.0), (2, 2))
-
-    def test_bad_bins_rejected(self):
-        with pytest.raises(ValueError):
-            density_grid(_synthetic([0.0]), (0.0, 1.0, 0.0, 1.0), (0, 2))
 
 
 class TestMeanEigenvalue:

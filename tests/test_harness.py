@@ -1,19 +1,27 @@
 """Config round-trips, seed derivation, commands, and exit-code contract."""
 
+import dataclasses
 import json
 import math
+import os
+import sys
 import threading
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairspec import (
     CHECK_NAMES,
     CONJ_TRANSPOSE,
     COMPLEX_GENERAL,
     COMPLEX_INDEPENDENT,
+    KINDS,
+    PRODUCT_KINDS,
     PSEUDO_INVERSE,
     REAL,
     AlphaOneUnsupported,
@@ -26,9 +34,13 @@ from pairspec import (
     derive_seed,
     validate_config,
 )
-from pairspec import harness
+from pairspec import empirical, harness
 from pairspec.cli import main
 from pairspec.harness import EQUIV_DRAWS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def _fast_config(**overrides):
@@ -69,6 +81,29 @@ class TestDeriveSeed:
         assert len(vals) == 4096
 
 
+_FIELD_NAMES = [f.name for f in dataclasses.fields(ExperimentConfig)]
+# JSON values: scalars, with NaN, the infinities and values a config
+# accepts drawn often, and lists of them nested two deep.
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(1, 64)
+    | st.floats()
+    | st.floats(0.0, 1.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.text(max_size=8)
+    | st.sampled_from(CHECK_NAMES + KINDS + PRODUCT_KINDS)
+)
+_JSON_VALUES = _JSON_SCALARS | st.lists(
+    _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3), max_size=4
+)
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-finite number {name} in a config's JSON")
+
+
 class TestExperimentConfig:
     def test_json_round_trip_defaults(self):
         cfg = ExperimentConfig()
@@ -98,7 +133,8 @@ class TestExperimentConfig:
 
     def test_tau_accepts_scalar_or_pair(self):
         assert ExperimentConfig.from_json_dict({"tau": 0.25}).tau == 0.25 + 0j
-        assert ExperimentConfig.from_json_dict({"tau": [0.1, 0.2]}).tau == 0.1 + 0.2j
+        pair = {"tau": [0.1, 0.2], "kind": "complex_general"}
+        assert ExperimentConfig.from_json_dict(pair).tau == 0.1 + 0.2j
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
@@ -107,6 +143,25 @@ class TestExperimentConfig:
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json("{not json")
+
+    @pytest.mark.parametrize(
+        "text", ['{"trials": 1' + "0" * 5000 + "}", "[" * 100_000 + "]" * 100_000]
+    )
+    def test_unreadable_json_rejected(self, text):
+        # past the int digit limit, and past the decoder's recursion limit
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            ExperimentConfig.from_json(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.dictionaries(st.sampled_from(_FIELD_NAMES), _JSON_VALUES, max_size=3))
+    def test_parse_rejects_or_round_trips(self, data):
+        try:
+            cfg = ExperimentConfig.from_json_dict(data)
+        except ConfigError:
+            return
+        text = cfg.to_json()
+        json.loads(text, parse_constant=_no_constant)
+        assert ExperimentConfig.from_json(text) == cfg
 
 
 class TestValidateConfig:
@@ -119,10 +174,12 @@ class TestValidateConfig:
             {"trials": 0},
             {"dims": ()},
             {"dims": ((0, 5),)},
+            {"dims": ((200_000, 200_000),)},  # past physical memory
             {"margin": -0.1},
             {"zero_tol": 0.0},
             {"checks": ("penrose", "nonsense")},
             {"checks": ()},
+            {"checks": ("penrose", "coverage", "penrose")},
             {"product_kind": "outer"},
             {"sigma_x": -1.0},
             {"tau": 1.5},
@@ -134,6 +191,7 @@ class TestValidateConfig:
             {"threads": -2},
             {"base_seed": 2**64},
             {"sweep_alphas": (math.inf,)},
+            {"sweep_alphas": (1e308,)},  # finite, but p = alpha * n0 is not
             # past 10**6 trials x dims the rotation stream runs into the trials'
             {"trials": 600_000, "dims": ((400, 200), (400, 800))},
         ],
@@ -145,12 +203,41 @@ class TestValidateConfig:
     def test_seed_stream_limit_is_inclusive(self):
         validate_config(ExperimentConfig(trials=500_000, dims=((4, 2), (4, 8))))
 
+    @pytest.mark.parametrize("threads", [None, 1])
+    @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+    def test_benchmark_configs_validate(self, tmp_path, name, threads):
+        # the benchmark's set-up probe makes this very call on these files
+        workload = workloads.WORKLOADS[name](11, tmp_path, threads=threads)
+        text = workload.config_path.read_text(encoding="utf-8")
+        validate_config(ExperimentConfig.from_json(text))
+
     def test_square_dims_allowed_at_validation(self):
         # a square-aspect pseudo-inverse config is caught by the coverage
         # check itself, not by config validation
         validate_config(
             ExperimentConfig(dims=((32, 32),), product_kind=PSEUDO_INVERSE)
         )
+
+
+class TestMemoryGuard:
+    """A dims entry whose one-trial working set exceeds physical memory is refused.
+
+    The bound is (2 n p + max(n, p)^2) x 8 bytes for the real kind, x 16
+    otherwise.  Only configs are built here; nothing is allocated.
+    """
+
+    def test_bound_is_per_entry_size(self):
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        n = math.isqrt(memory // 24)  # 3 n^2 x 8 fits, 3 n^2 x 16 does not
+        ExperimentConfig(kind=REAL, dims=((n, n),))
+        with pytest.raises(ConfigError, match="GiB"):
+            ExperimentConfig(kind=COMPLEX_INDEPENDENT, dims=((n, n),))
+
+    def test_sweep_cell_is_checked(self, tmp_path):
+        cfg = _fast_config(dims=((40, 80),), sweep_alphas=(0.5, 10.0**6))
+        with pytest.raises(ConfigError, match="tau0_alpha1.*GiB"):
+            cmd_sweep(cfg, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestCmdSample:
@@ -370,6 +457,36 @@ class TestCli:
         field = text.split('"')[1]
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"strict": "false"},
+            {"trials": 2.7},
+            {"trials": True},
+            {"base_seed": 1.9},
+            {"dims": [[20, 10, 7]]},
+            {"dims": [[20.9, 10]]},
+            {"margin": "0.1"},
+            {"zero_tol": True},
+            {"tau": True},
+            {"sweep_alphas": [True]},
+            {"checks": ["penrose", "penrose"]},
+            {"out_dir": 5},
+            {"dims": [[200_000, 200_000]]},
+        ],
+    )
+    def test_mistyped_field_exits_two(self, tmp_path, monkeypatch, capsys, fields):
+        # each of these used to run after a silent coercion, or crash
+        cfg_path = tmp_path / "cfg.json"
+        config = {"dims": [[20, 10]], "trials": 2, "checks": ["penrose"], **fields}
+        cfg_path.write_text(json.dumps(config))
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main(["verify", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(run_dir.iterdir()) == []
+
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -459,10 +576,14 @@ class TestTrialPipeline:
         calls = Counter()
         _count_calls(monkeypatch, "sample_pair", calls)
         _count_calls(monkeypatch, "spectrum", calls)
+        _count_calls(monkeypatch, "pseudo_inverse", calls)
+        monkeypatch.setattr(empirical, "pseudo_inverse", harness.pseudo_inverse)
         cmd_verify(cfg, out_dir=tmp_path)
         # one pass over dims x trials, plus rotation's two seed-matched streams
         want = len(cfg.dims) * cfg.trials + 2 * cfg.trials
-        assert calls == {"sample_pair": want, "spectrum": want}
+        # one SVD per pair, shared by penrose and zero_atoms
+        pinvs = len(cfg.dims) * cfg.trials
+        assert calls == {"sample_pair": want, "spectrum": want, "pseudo_inverse": pinvs}
 
     def test_mean_eigenvalue_reduces_the_sampled_spectra(self, tmp_path):
         cfg = _fast_config(
