@@ -9,9 +9,10 @@ Subcommands::
 
 All subcommands share the flags --config (JSON experiment config; built-in
 defaults when omitted), --out (output directory), --seed (override the
-config's base seed), --threads (accepted for existing scripts; it has no
-effect, since trials run in order and BLAS supplies the parallelism) and
---strict (promote advisory check failures to fatal).  Exit codes:
+config's base seed), --threads (0: one per CPU; 1: every trial on the
+calling thread; 2 or more: large verify trials overlap their halves on
+one helper thread; output is the same for every value) and --strict
+(promote advisory check failures to fatal).  Exit codes:
 0 success, 1 verification failure, 2 configuration or I/O error.
 """
 
@@ -40,7 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, metavar="U64", help="override the config base seed"
     )
     common.add_argument(
-        "--threads", type=int, metavar="N", help="accepted; has no effect"
+        "--threads",
+        type=int,
+        metavar="N",
+        help="0 = one per CPU, 1 = calling thread only; output is the same for every value",
     )
     common.add_argument(
         "--strict",

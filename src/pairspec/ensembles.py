@@ -135,6 +135,26 @@ def mixing_coefficients(params: EnsembleParams) -> tuple[complex, float]:
     return a, b
 
 
+def _standard_field(
+    rng: np.random.Generator, shape: tuple[int, int], scale: float, im_scale: float | None
+) -> np.ndarray:
+    """Real standard normals times ``scale``, or with an imaginary part too.
+
+    Each part is scaled before it is stored, the real block drawn first.
+    """
+    re = rng.standard_normal(shape)
+    re *= scale
+    if im_scale is None:
+        return re
+    field = np.empty(shape, np.complex128)
+    field.real = re
+    del re
+    im = rng.standard_normal(shape)
+    im *= im_scale
+    field.imag = im
+    return field
+
+
 def sample_pair(params: EnsembleParams, dims: Dims, seed: int) -> MatrixPair:
     """Draw one matrix pair; identical (params, dims, seed) is bit-identical.
 
@@ -142,6 +162,10 @@ def sample_pair(params: EnsembleParams, dims: Dims, seed: int) -> MatrixPair:
     kinds, real block before imaginary block) from a PCG64 stream keyed by
     ``seed``, so the output is reproducible across calls and processes.
     The ``real`` kind gives float64 matrices, the complex kinds complex128.
+    u and v are mixed in place, with one temporary (a * u), each product
+    and sum taken as in x = sigma_x * u and y = sigma_y * (a * u + b * v),
+    so the draws are those of that formula bit for bit (but for the sign
+    of a zero, should a standard normal come out exactly 0).
     """
     validate_params(params)
     a, b = mixing_coefficients(params)
@@ -152,25 +176,21 @@ def sample_pair(params: EnsembleParams, dims: Dims, seed: int) -> MatrixPair:
     if params.kind == REAL:
         # Real entries stay float64; tau is real here, so a is too.
         a = a.real
-        scale = 1.0 / math.sqrt(n)
-        u = rng.standard_normal(shape) * scale
-        v = rng.standard_normal(shape) * scale
+        scale, im_scale = 1.0 / math.sqrt(n), None
     elif params.kind == COMPLEX_INDEPENDENT:
-        re_scale = math.sqrt(params.split / n)
+        scale = math.sqrt(params.split / n)
         im_scale = math.sqrt((1.0 - params.split) / n)
-        u = rng.standard_normal(shape) * re_scale + 1j * (
-            rng.standard_normal(shape) * im_scale
-        )
-        v = rng.standard_normal(shape) * re_scale + 1j * (
-            rng.standard_normal(shape) * im_scale
-        )
     else:
-        scale = 1.0 / math.sqrt(2.0 * n)
-        u = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
-        v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        scale = im_scale = 1.0 / math.sqrt(2.0 * n)
+    u = _standard_field(rng, shape, scale, im_scale)
+    v = _standard_field(rng, shape, scale, im_scale)
 
-    x = params.sigma_x * u
-    y = params.sigma_y * (a * u + b * v)
+    y = v
+    y *= b
+    y += a * u
+    y *= params.sigma_y
+    x = u
+    x *= params.sigma_x
     return MatrixPair(x_mat=x, y_mat=y, params=params, dims=dims, seed=int(seed))
 
 

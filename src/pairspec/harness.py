@@ -2,10 +2,11 @@
 
 Everything here is deterministic by construction.  A config plus the
 package version fixes every random draw: per-trial seeds come from a
-counter-based mixing function, trials run in order on the calling thread,
-and text outputs are written with repr-exact floats and LF endings, so
-repeated runs at one BLAS thread count produce byte-identical CSVs and
-semantically identical JSON reports (wall time aside).
+counter-based mixing function, trials run in order, and text outputs are
+written with repr-exact floats and LF endings.  Every command does its
+trial work with OpenBLAS pinned to one thread, so repeated runs produce
+byte-identical CSVs and semantically identical JSON reports (wall time
+aside) whatever the BLAS or harness thread count.
 
 The ``verify`` command runs a configurable battery of checks; five reduce
 one pass over ``sample``'s pairs, drawing each once.  Exact
@@ -28,7 +29,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
@@ -48,11 +49,10 @@ from .empirical import (
     coverage,
     default_zero_tol,
     grand_mean,
-    mean_eigenvalue,
     spectrum,
     wa_identity_check,
 )
-from .matalg import eigenvalues, penrose_residuals, pseudo_inverse
+from .matalg import blas_single_thread, eigenvalues, penrose_residuals, pseudo_inverse
 from .predict import (
     CONJ_TRANSPOSE,
     PRODUCT_KINDS,
@@ -66,6 +66,9 @@ from .predict import (
     mean_eigenvalue_prediction,
     support_contains,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 __all__ = [
     "CHECK_NAMES",
@@ -99,6 +102,10 @@ COVERAGE_MIN_INSIDE = 0.995
 SE_SIGMAS = 4.0
 ROTATION_ANGLE = math.pi / 3.0
 FIELD_TOL = 1e-12
+# A trial whose max(n, p) is at least this splits into two halves that run
+# at once (see _trial_records).  Measured on a 2-core host with BLAS pinned:
+# the split broke even at (200, 400) and won clearly at (400, 800).
+OVERLAP_MIN_DIM = 256
 
 # Seed-counter bases of the three streams; validate_config keeps them disjoint.
 # Rotation and disc_equivalence keep the bases of 0.1.0, and so its draws.
@@ -202,7 +209,7 @@ class ExperimentConfig:
     zero_tol: float | None = None  # None = automatic policy per spectrum
     checks: tuple[str, ...] = CHECK_NAMES
     strict: bool = False
-    threads: int = 0  # accepted for existing configs; selects nothing
+    threads: int = 0  # 0 = one per CPU this process may run on; 1 = calling thread only
     out_dir: str | None = None
     sweep_taus: tuple[complex, ...] = ()
     sweep_alphas: tuple[float, ...] = ()
@@ -272,15 +279,45 @@ _FIELD_PARSERS: dict[str, Callable[[Any, str], Any]] = {
 }
 
 
+def _sweep_p(alpha: float, n0: int) -> int:
+    """Column count of a sweep cell with aspect ``alpha`` on n0 rows."""
+    return max(1, round(alpha * n0))
+
+
+def _trial_bytes(n: int, p: int, itemsize: int) -> int:
+    """Peak bytes of one verify trial at (n, p), its helper half in flight.
+
+    In matrix entries, with m = max(n, p) and s = min(n, p): the pair, 2np;
+    the helper's half, one full-size product and the copy LAPACK's
+    eigensolver makes of it, 2m^2; and the calling thread's half at its
+    largest, one of: the SVD (numpy's copy of Y, U, Vh and the solver's
+    real workspace) or the pseudo-inverse built from them, together under
+    4np + 5s^2; the Penrose check, the pseudo-inverse, one square product,
+    a quarter-size block of its Hermitian residual and two np-sized
+    residual terms, 3np + 5m^2/4; or the zero count, the pseudo-inverse
+    plus X Y† and its eigensolver copy, np + 2m^2.  Sampling (3np) and the
+    reduced-path spectrum (under 3np + 4s^2) peak lower, before the helper
+    starts or next to it.  Left out: O(m) workspace, OpenBLAS's per-thread
+    buffers and the interpreter itself.
+    """
+    m, s, np_ = max(n, p), min(n, p), n * p
+    main = max(4 * np_ + 5 * s * s, 3 * np_ + 5 * m * m // 4, np_ + 2 * m * m)
+    return (2 * np_ + 2 * m * m + main) * itemsize
+
+
 def validate_config(config: ExperimentConfig) -> None:
     """Raise ConfigError unless the config's values are in range and agree.
 
-    Field types are checked before this runs, by the constructor.  Each
-    dims entry must fit one trial's working set -- X, Y and one
-    max(n, p)^2 product -- in physical memory.
+    Field types are checked before this runs, by the constructor.  Every
+    sweep cell (sweep_taus x sweep_alphas) is checked here too, so a valid
+    config is valid for every command.  Each dims entry and sweep cell
+    must fit one trial's working set, :func:`_trial_bytes`, in physical
+    memory.
     """
     try:
         validate_params(config.ensemble_params())
+        for tau in config.sweep_taus:
+            validate_params(config.ensemble_params(tau))
     except (PairspecError, ValueError) as exc:
         raise ConfigError(f"bad ensemble parameters: {exc}") from exc
     if config.product_kind not in PRODUCT_KINDS:
@@ -289,12 +326,29 @@ def validate_config(config: ExperimentConfig) -> None:
         )
     if not config.dims:
         raise ConfigError("dims must list at least one (n, p) shape")
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    itemsize = 8 if config.kind == REAL else 16
     for n, p in config.dims:
         if n < 1 or p < 1:
             raise ConfigError(f"dims entries must be positive, got ({n}, {p})")
-        need = (2 * n * p + max(n, p) ** 2) * itemsize
+    n0 = config.dims[0][0]
+    # (shape, whether rotation runs at it): the first dims entry, each sweep cell
+    shapes = [(d, i == 0) for i, d in enumerate(config.dims)]
+    for a in config.sweep_alphas:
+        if not (a > 0.0 and math.isfinite(a * n0)):  # a sweep cell has p = a * n0
+            raise ConfigError(
+                f"sweep_alphas entries must be > 0 with alpha * n0 finite, got {a}"
+            )
+        p = _sweep_p(a, n0)
+        shapes.append(((n0, p), True))
+        if config.product_kind == PSEUDO_INVERSE and p == n0 and a != 1.0:
+            raise ConfigError(
+                f"sweep alpha {a} rounds to the square shape ({n0}, {n0}) "
+                f"at n0 = {n0}; pseudo_inverse has no prediction there"
+            )
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for (n, p), first in shapes:
+        # rotation draws complex pairs, whatever the kind
+        rotation = first and "rotation" in config.checks
+        need = _trial_bytes(n, p, 8 if config.kind == REAL and not rotation else 16)
         if need > memory:
             raise ConfigError(
                 f"dims ({n}, {p}) need at least {need >> 30} GiB for one trial; "
@@ -319,12 +373,6 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"checks must not repeat, got {list(config.checks)}")
     if config.threads < 0:
         raise ConfigError(f"threads must be >= 0, got {config.threads}")
-    n0 = config.dims[0][0]
-    for a in config.sweep_alphas:
-        if not (a > 0.0 and math.isfinite(a * n0)):  # a sweep cell has p = a * n0
-            raise ConfigError(
-                f"sweep_alphas entries must be > 0 with alpha * n0 finite, got {a}"
-            )
 
 
 @dataclass(frozen=True)
@@ -383,52 +431,92 @@ def _support(
     return disc_support(params, alpha)
 
 
-def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
+def _later(pool: Executor | None, fn: Callable[..., Any], *args: Any) -> Callable[[], Any]:
+    """Start fn(*args) on the pool's helper thread, or run it now without one.
+
+    Returns a getter for the result; on the helper it waits for it.
+    """
+    if pool is None:
+        value = fn(*args)
+        return lambda: value
+    return pool.submit(fn, *args).result
+
+
+def _eig_sum(params: EnsembleParams, dims: Dims, seed: int) -> complex:
+    """Sum of the eigenvalues of X Y* for the pair drawn at ``seed``."""
+    return complex(np.sum(spectrum(sample_pair(params, dims, seed), CONJ_TRANSPOSE).eigs))
+
+
+def _trial_records(
+    config: ExperimentConfig, pool: Executor | None
+) -> dict[str, list[list[Any]]]:
     """Draw each (dims, trial) pair once and reduce it for the enabled checks.
 
     Returns, for each check name, one list per dims entry of its per-trial
     scalars in trial order: the largest Penrose residual, the product-
     ordering (verdict, mismatch), the zero count of X Y† on the SVD
     reference path (p < n only), the CoverageReport and the eigenvalue sum
-    (under ``mean_eigenvalue``).  A list stays empty unless its check is
-    enabled.  The pairs are the ones ``cmd_sample`` writes; one SVD
-    pseudo-inverse per pair feeds both ``penrose`` and ``zero_atoms``, and
-    one reduced-path spectrum both ``coverage`` and ``mean_eigenvalue``.
+    (under ``mean_eigenvalue``), and, for the first dims entry only, the
+    eigenvalue sums of rotation's seed-matched base and rotated pairs.  A
+    list stays empty unless its check is enabled.  The pairs are the ones
+    ``cmd_sample`` writes; one SVD pseudo-inverse per pair feeds both
+    ``penrose`` and ``zero_atoms``, and one reduced-path spectrum both
+    ``coverage`` and ``mean_eigenvalue``.
+
+    With a ``pool``, a trial with max(n, p) >= OVERLAP_MIN_DIM runs in two
+    halves at once over its read-only pair: the product-ordering check's
+    two full-size eigensolves on the helper thread, the rest on the
+    calling thread (rotation: the base pair on the helper, the rotated one
+    here).  Each trial joins before the next starts.
     """
     on = set(config.checks)
     params = config.ensemble_params()
     records = {name: [[] for _ in config.dims] for name in CHECK_NAMES}
     for d_i, (n, p) in enumerate(config.dims):
         rec = {name: lists[d_i] for name, lists in records.items()}
+        helper = pool if max(n, p) >= OVERLAP_MIN_DIM else None
         support = None
         if "coverage" in on:
             with contextlib.suppress(AlphaOneUnsupported):  # coverage reports it
                 support = _support(params, p / n, config.product_kind)
         zeros = "zero_atoms" in on and p < n
         spec = support is not None or "mean_eigenvalue" in on
-        if not (zeros or spec or on & {"penrose", "weinstein_aronszajn"}):
+        wa = "weinstein_aronszajn" in on
+        if not (zeros or spec or wa or "penrose" in on):
             continue
         base = _SAMPLE_SEED_BASE + d_i * config.trials
         for trial in range(config.trials):
             seed = derive_seed(config.base_seed, base + trial)
             pair = sample_pair(params, Dims(n, p), seed)
+            if wa:
+                wa_result = _later(helper, wa_identity_check, pair, WA_TOL)
             if "penrose" in on or zeros:
                 pinv = pseudo_inverse(pair.y_mat).pinv
             if "penrose" in on:
                 res = penrose_residuals(pair.y_mat, pinv)
                 rec["penrose"].append(max(res.values()))
-            if "weinstein_aronszajn" in on:
-                rec["weinstein_aronszajn"].append(wa_identity_check(pair, tol=WA_TOL))
             if zeros:  # what reference_spectrum computes for X Y†
                 eigs = eigenvalues(pair.x_mat @ pinv)
                 ztol = config.zero_tol or default_zero_tol(eigs)
                 rec["zero_atoms"].append(int(np.count_nonzero(np.abs(eigs) <= ztol)))
+            pinv = eigs = None  # freed before the spectrum's factorisation
             if spec:
                 s = spectrum(pair, config.product_kind)
                 rec["mean_eigenvalue"].append(complex(np.sum(s.eigs)))
                 if support is not None:
                     rep = coverage(s, support, config.margin, config.zero_tol)
                     rec["coverage"].append(rep)
+            if wa:
+                rec["weinstein_aronszajn"].append(wa_result())
+    if "rotation" in on:
+        dims = Dims(*config.dims[0])
+        helper = pool if max(dims.n, dims.p) >= OVERLAP_MIN_DIM else None
+        base_params, rot_params = _rotation_params(config)
+        for trial in range(config.trials):
+            seed = derive_seed(config.base_seed, _ROTATION_SEED_BASE + trial)
+            base_sum = _later(helper, _eig_sum, base_params, dims, seed)
+            rot_sum = _eig_sum(rot_params, dims, seed)
+            records["rotation"][0].append((base_sum(), rot_sum))
     return records
 
 
@@ -639,23 +727,28 @@ def _check_mean_eigenvalue(
     )
 
 
-def _check_rotation(config: ExperimentConfig, _records: list[list]) -> CheckResult:
+def _rotation_params(config: ExperimentConfig) -> tuple[EnsembleParams, EnsembleParams]:
+    """Rotation's base ensemble and its tau-rotated copy (complex_general)."""
+    tau_base = config.tau if abs(config.tau) > 1e-12 else 0.5 + 0.0j
+    return tuple(
+        EnsembleParams(config.sigma_x, config.sigma_y, tau, kind=COMPLEX_GENERAL)
+        for tau in (tau_base, tau_base * cmath.exp(1j * ROTATION_ANGLE))
+    )
+
+
+def _check_rotation(config: ExperimentConfig, records: list[list]) -> CheckResult:
     """Multiplying tau by a phase rotates the predicted and empirical spectra.
 
     Field level (exact): the ellipse for tau * e^{i theta} has a rotated
     center, identical semi-axes, and rotation shifted by theta.  Sample
     level (statistical): the mean eigenvalue of X Y* rotates by e^{i
-    theta} within 4 joint standard errors, using seed-matched trials.
+    theta} within 4 joint standard errors, using seed-matched trials on
+    the first dims entry: the rotated ensemble reuses the base ensemble's
+    underlying standard fields, which tightens the comparison.
     """
     theta = ROTATION_ANGLE
     phase = cmath.exp(1j * theta)
-    tau_base = config.tau if abs(config.tau) > 1e-12 else 0.5 + 0.0j
-    base_params = EnsembleParams(
-        config.sigma_x, config.sigma_y, tau_base, kind=COMPLEX_GENERAL
-    )
-    rot_params = EnsembleParams(
-        config.sigma_x, config.sigma_y, tau_base * phase, kind=COMPLEX_GENERAL
-    )
+    base_params, rot_params = _rotation_params(config)
 
     field_err = 0.0
     for n, p in config.dims:
@@ -672,15 +765,10 @@ def _check_rotation(config: ExperimentConfig, _records: list[list]) -> CheckResu
         )
     field_ok = field_err <= FIELD_TOL
 
-    # Seed-matched trials: the rotated ensemble reuses the base ensemble's
-    # underlying standard fields, which tightens the comparison.
     n, p = config.dims[0]
-    dims = Dims(n, p)
-    base = _ROTATION_SEED_BASE
-    base_samples = _spectra(config, base_params, dims, CONJ_TRANSPOSE, base)
-    rot_samples = _spectra(config, rot_params, dims, CONJ_TRANSPOSE, base)
-    m0, se0 = mean_eigenvalue(base_samples)
-    m1, se1 = mean_eigenvalue(rot_samples)
+    base_sums, rot_sums = zip(*records[0])
+    m0, se0 = grand_mean(base_sums, [n] * config.trials)
+    m1, se1 = grand_mean(rot_sums, [n] * config.trials)
     se_joint = math.hypot(se0, se1)
     dev = abs(m1 - phase * m0)
     mean_ok = dev <= SE_SIGMAS * se_joint if se_joint > 0.0 else dev <= 1e-9
@@ -715,6 +803,29 @@ _CHECK_FUNCS: dict[str, Callable[[ExperimentConfig, list[list]], CheckResult]] =
 # commands
 
 
+@contextlib.contextmanager
+def _trial_pool(config: ExperimentConfig) -> Iterator[Executor | None]:
+    """Pin BLAS to one thread for the block; yield the trial helper's pool.
+
+    The pool (one helper thread, started on first use) is None when BLAS
+    could not be pinned or ``threads`` leaves one thread: with threads 0,
+    the CPUs this process may run on.  Leaving the block joins the helper.
+    """
+    threads = config.threads
+    if not threads:
+        affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+        threads = len(affinity(0)) if affinity else os.cpu_count() or 1
+    with blas_single_thread() as pinned:
+        if not pinned or threads < 2:
+            yield None
+            return
+        # imported here, not at module load, to keep its ~6 ms out of start-up
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="pairspec-trial") as pool:
+            yield pool
+
+
 def _resolve_out(config: ExperimentConfig, out_dir: str | os.PathLike | None) -> Path:
     out = Path(out_dir if out_dir is not None else config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -734,10 +845,11 @@ def cmd_sample(
     path = out / "eigenvalues.csv"
 
     blocks: list[tuple[int, int, list[SpectrumSample]]] = []
-    for d_i, (n, p) in enumerate(config.dims):
-        base = _SAMPLE_SEED_BASE + d_i * config.trials
-        samples = _spectra(config, params, Dims(n, p), config.product_kind, base)
-        blocks.append((n, p, samples))
+    with blas_single_thread():
+        for d_i, (n, p) in enumerate(config.dims):
+            base = _SAMPLE_SEED_BASE + d_i * config.trials
+            samples = _spectra(config, params, Dims(n, p), config.product_kind, base)
+            blocks.append((n, p, samples))
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("trial,n,p,re_lambda,im_lambda\n")
@@ -776,10 +888,12 @@ def cmd_boundary(
     return path
 
 
-def _run_checks(config: ExperimentConfig, shared: dict) -> VerificationReport:
+def _run_checks(
+    config: ExperimentConfig, shared: dict, pool: Executor | None
+) -> VerificationReport:
     """Run the configured checks, taking any named in ``shared`` from it."""
     started = time.perf_counter()
-    records = _trial_records(config)
+    records = _trial_records(config, pool)
     results = tuple(
         shared[name] if name in shared else _CHECK_FUNCS[name](config, records[name])
         for name in config.checks
@@ -809,7 +923,8 @@ def cmd_verify(
     advisory shortfalls do not change it unless the config is strict.
     """
     out = _resolve_out(config, out_dir)
-    report = _run_checks(config, {})
+    with _trial_pool(config) as pool:
+        report = _run_checks(config, {}, pool)
     path = out / "report.json"
     _write_report(report, path)
     return report, path
@@ -822,10 +937,8 @@ def cmd_sweep(
 
     Cell (i, j) uses sweep_taus[i] and dims (n0, round(alpha_j * n0))
     derived from the first configured shape; its report is written to
-    report_tau{i}_alpha{j}.json.  Every cell is validated before the
-    first one runs, so a bad cell leaves no reports behind.  A
-    pseudo-inverse cell whose alpha != 1 rounds to the square shape
-    (n0, n0), which has no disc prediction, is a ConfigError.  The
+    report_tau{i}_alpha{j}.json.  :func:`validate_config` has already
+    checked every cell, so a bad cell leaves no reports behind.  The
     returned exit code is 0 iff every cell passed.  Cells share trial seeds
     (common random numbers); ``disc_equivalence``, which reads neither tau
     nor dims, runs once for all of them.
@@ -833,30 +946,23 @@ def cmd_sweep(
     taus = config.sweep_taus or (config.tau,)
     alphas = config.sweep_alphas or (Dims(*config.dims[0]).alpha,)
     n0 = config.dims[0][0]
-    cells: list[tuple[str, ExperimentConfig]] = []
-    for i, tau in enumerate(taus):
-        for j, alpha in enumerate(alphas):
-            p = max(1, round(alpha * n0))
-            if config.product_kind == PSEUDO_INVERSE and p == n0 and alpha != 1.0:
-                raise ConfigError(
-                    f"sweep alpha {alpha} rounds to the square shape ({n0}, {n0}) "
-                    f"at n0 = {n0}; pseudo_inverse has no prediction there"
-                )
-            try:
-                cell = replace(config, tau=tau, dims=((n0, p),))
-            except ConfigError as exc:
-                raise ConfigError(f"sweep cell tau{i}_alpha{j}: {exc}") from exc
-            cells.append((f"report_tau{i}_alpha{j}.json", cell))
+    # validate_config has checked every cell, so none of these raises
+    cells = [
+        (f"report_tau{i}_alpha{j}.json", replace(config, tau=tau, dims=((n0, _sweep_p(a, n0)),)))
+        for i, tau in enumerate(taus)
+        for j, a in enumerate(alphas)
+    ]
     shared = {}
     if "disc_equivalence" in config.checks:
         shared["disc_equivalence"] = _check_disc_equivalence(config, [])
     out = _resolve_out(config, out_dir)
     paths: list[Path] = []
     worst = 0
-    for name, cell in cells:
-        report = _run_checks(cell, shared)
-        path = out / name
-        _write_report(report, path)
-        paths.append(path)
-        worst = max(worst, report.exit_code)
+    with _trial_pool(config) as pool:
+        for name, cell in cells:
+            report = _run_checks(cell, shared, pool)
+            path = out / name
+            _write_report(report, path)
+            paths.append(path)
+            worst = max(worst, report.exit_code)
     return paths, worst

@@ -54,6 +54,7 @@ from pairspec import (
     zero_in_ellipse,
 )
 from pairspec.cli import main
+from pairspec.matalg import blas_single_thread
 
 BASE_SEED = 20260822
 
@@ -65,7 +66,8 @@ MARGIN = 0.1
 
 
 def _pmap(fn, items):
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
+    # one BLAS thread per task, so the pool's threads do not oversubscribe the cores
+    with blas_single_thread(), ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, items))
 
 

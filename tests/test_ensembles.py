@@ -1,5 +1,6 @@
 """Parameter validation, whitening coefficients, and sampling calibration."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -172,6 +173,48 @@ class TestSamplePair:
         est = np.mean(prods) * 400
         se = float(np.std(prods)) * 400 / math.sqrt(prods.size)
         assert abs(est - 0.5j) <= 4.0 * se
+
+
+# sha256 of x_mat.tobytes() + y_mat.tobytes() for a (9, 6) pair with
+# sigma_x = 1.5, sigma_y = 0.7 (split 0.3 for complex_independent),
+# recorded from the out-of-place formula x = sigma_x * u,
+# y = sigma_y * (a * u + b * v) that sample_pair now evaluates in place.
+_GOLDEN_DRAWS = {
+    (REAL, 0.0, 5): "c571020f35c3ca909a226ed3f287ce82428966285c236f63c0aa19282efb7c72",
+    (REAL, 0.0, 2**63 + 11): "bf3ad8a055156e4e3d6308fca31d601a891983e3aa82b34b5968ba1d2afe6227",
+    (REAL, 0.5, 5): "6d9738a23a79644fd709c85adba5b18cf366c9992860661a87769bc334611f21",
+    (REAL, 0.5, 2**63 + 11): "d295da9ae8e50fe8339423a8bfab3cb98c2cc1e8d6cfe3863e25dad9de5f1de0",
+    (REAL, 1.0, 5): "19e8ae8e9f996b590d8c367a3437a89b1dec31909a8edf078887ac2ab161af66",
+    (REAL, 1.0, 2**63 + 11): "15ecc76232f6307f53fb572ae546dbdb61c1c840c885df0c68ab9f3eebd6f1f9",
+    (REAL, -1.0, 5): "197f3f0519ef1807d009237fceba26f2319838b655424b2c9a6dd71500ff45fd",
+    (REAL, -1.0, 2**63 + 11): "3df980f2e941ab41ec980c177c3b75b5cd69dd29f741e703265b76a5ffe44765",
+    (COMPLEX_INDEPENDENT, 0.0, 5): "9a1033d6ba3ce0c1986a0c439c3f26e4a69b4e797d2d8d14a98fd39cea9722e3",
+    (COMPLEX_INDEPENDENT, 0.0, 2**63 + 11): "59314274de8379ea2941b7a7e7749bb054febc1be4023e3562fa8e164a8d2bc3",
+    (COMPLEX_INDEPENDENT, 0.5, 5): "c6515edd0f474d595f7f4cb008a3dc6db5b8ea2e0b272a6b9c9f7e42ca1770b6",
+    (COMPLEX_INDEPENDENT, 0.5, 2**63 + 11): "8f8f274321b0228b2638204787af53fc08d659ead968f579568d7b6f3594580d",
+    (COMPLEX_INDEPENDENT, 1.0, 5): "f4843c471e81193ef93ec6e6b856fb7777350c3466a641444aa97bc416e27561",
+    (COMPLEX_INDEPENDENT, 1.0, 2**63 + 11): "c9eb7f46a631561cffccc2fac0f84c8aaf79aa9b2955bc37281d6d3b1f62ffd8",
+    (COMPLEX_INDEPENDENT, -1.0, 5): "bc22ccc9d2c5ae389c7dbc5d0ec87b4ed0dceebfa04e219d82168a4269000557",
+    (COMPLEX_INDEPENDENT, -1.0, 2**63 + 11): "4127b06cbefd3ad4afb7d327485b61d79c5cf4825c42e8d1f59e0f618efce19b",
+    (COMPLEX_GENERAL, 0.0, 5): "38b641cb4b4458492e52ef6ce74b2eab9224c749511f2e71f1586454c7535d2f",
+    (COMPLEX_GENERAL, 0.0, 2**63 + 11): "2da99976fd7691e312ed6da934c76d4a3f2c791341f2d5eef8fad3abb8fc22aa",
+    (COMPLEX_GENERAL, 0.5, 5): "69fa3592ee8250cb5fa03dc495ebf15262e88ef95fcccbd4f876a2c60cc32b56",
+    (COMPLEX_GENERAL, 0.5, 2**63 + 11): "35a7caef52fd983612fe5566eb7a4e20690fb7d7c3b16979eafb1d00c988b718",
+    (COMPLEX_GENERAL, 1.0, 5): "a1a32db041f827cb1b27768b4207db71fa10b454a8b046003a5c572b572e47c3",
+    (COMPLEX_GENERAL, 1.0, 2**63 + 11): "0b5adfd369459e9b70d7f55fbd313494627c046965ec2cfecd73610d4e8acde6",
+    (COMPLEX_GENERAL, -1.0, 5): "29aa7602cb8eab5bff13fe8f8e94583cfbca397984cb3bad2dbc64dd89b067b0",
+    (COMPLEX_GENERAL, -1.0, 2**63 + 11): "b53c4586b236cf8175a2b4fa940b2c2dff38a2608cc292fad89dd265647a6e72",
+    (COMPLEX_GENERAL, (0.3+0.4j), 5): "378f2b527b8743824387b92906ac710f0aa3cf516803c618963562869abfcfec",
+    (COMPLEX_GENERAL, (0.3+0.4j), 2**63 + 11): "3295aea94118154b8f9adb64f5d835876a3a26b7085a5e87217a6fbfd6195a35",
+}
+
+
+@pytest.mark.parametrize("kind,tau,seed", sorted(_GOLDEN_DRAWS, key=repr))
+def test_draws_match_the_recorded_digests(kind, tau, seed):
+    split = 0.3 if kind == COMPLEX_INDEPENDENT else 0.5
+    pair = sample_pair(EnsembleParams(1.5, 0.7, tau, kind=kind, split=split), Dims(9, 6), seed)
+    digest = hashlib.sha256(pair.x_mat.tobytes() + pair.y_mat.tobytes()).hexdigest()
+    assert digest == _GOLDEN_DRAWS[kind, tau, seed]
 
 
 def _pair_covariance(kind, tau, seed, sx=1.0, sy=1.0, split=0.5):

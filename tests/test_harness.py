@@ -1,12 +1,16 @@
 """Config round-trips, seed derivation, commands, and exit-code contract."""
 
 import dataclasses
+import gc
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,9 +38,11 @@ from pairspec import (
     derive_seed,
     validate_config,
 )
-from pairspec import empirical, harness
+import pairspec
+from pairspec import empirical, harness, matalg
 from pairspec.cli import main
-from pairspec.harness import EQUIV_DRAWS
+from pairspec.harness import EQUIV_DRAWS, OVERLAP_MIN_DIM
+from pairspec.matalg import blas_single_thread
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -222,22 +228,56 @@ class TestValidateConfig:
 class TestMemoryGuard:
     """A dims entry whose one-trial working set exceeds physical memory is refused.
 
-    The bound is (2 n p + max(n, p)^2) x 8 bytes for the real kind, x 16
-    otherwise.  Only configs are built here; nothing is allocated.
+    The bound is harness._trial_bytes: 8 bytes an entry for the real kind,
+    16 otherwise, and 16 wherever rotation draws its complex pairs.  The
+    guard tests build configs only; nothing large is allocated.
     """
 
-    def test_bound_is_per_entry_size(self):
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        n = math.isqrt(memory // 24)  # 3 n^2 x 8 fits, 3 n^2 x 16 does not
-        ExperimentConfig(kind=REAL, dims=((n, n),))
-        with pytest.raises(ConfigError, match="GiB"):
-            ExperimentConfig(kind=COMPLEX_INDEPENDENT, dims=((n, n),))
+    _MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
-    def test_sweep_cell_is_checked(self, tmp_path):
-        cfg = _fast_config(dims=((40, 80),), sweep_alphas=(0.5, 10.0**6))
-        with pytest.raises(ConfigError, match="tau0_alpha1.*GiB"):
-            cmd_sweep(cfg, out_dir=tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+    def _edge(self):
+        """A square size whose real trial fits in memory and complex one does not."""
+        n = math.isqrt(self._MEMORY // harness._trial_bytes(1, 1, 16)) + 1
+        assert harness._trial_bytes(n, n, 8) <= self._MEMORY < harness._trial_bytes(n, n, 16)
+        return n
+
+    def test_bound_is_per_entry_size(self):
+        n = self._edge()
+        ExperimentConfig(kind=REAL, dims=((n, n),), checks=("penrose",))
+        with pytest.raises(ConfigError, match="GiB"):
+            ExperimentConfig(kind=COMPLEX_INDEPENDENT, dims=((n, n),), checks=("penrose",))
+
+    def test_rotation_counts_complex_on_the_first_entry(self):
+        n = self._edge()
+        # rotation runs at dims[0] only, on complex pairs
+        ExperimentConfig(kind=REAL, dims=((4, 2), (n, n)), checks=("rotation",))
+        with pytest.raises(ConfigError, match="GiB"):
+            ExperimentConfig(kind=REAL, dims=((n, n), (4, 2)), checks=("rotation",))
+
+    def test_sweep_cell_is_checked(self):
+        # every sweep cell is checked when the config is built
+        with pytest.raises(ConfigError, match=r"\(40, 40000000\).*GiB"):
+            _fast_config(dims=((40, 80),), sweep_alphas=(0.5, 10.0**6))
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX_GENERAL])
+    @pytest.mark.parametrize("dims", [(120, 60), (60, 120), (100, 100), (150, 30), (30, 150)])
+    def test_bound_covers_the_traced_peak(self, monkeypatch, kind, dims):
+        # every check, each trial split across the helper thread
+        monkeypatch.setattr(harness, "OVERLAP_MIN_DIM", 0)
+        product = CONJ_TRANSPOSE if dims[0] == dims[1] else PSEUDO_INVERSE
+        cfg = ExperimentConfig(
+            kind=kind, dims=(dims,), trials=1, checks=CHECK_NAMES, product_kind=product
+        )
+        with ThreadPoolExecutor(max_workers=1) as pool, blas_single_thread():
+            harness._trial_records(cfg, pool)  # first-call allocations
+            gc.collect()
+            tracemalloc.start()
+            try:
+                harness._trial_records(cfg, pool)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= harness._trial_bytes(*dims, 16)  # rotation's pairs are complex
 
 
 class TestCmdSample:
@@ -388,31 +428,27 @@ class TestCmdSweep:
     def test_bad_later_cell_fails_before_any_cell_runs(self, tmp_path):
         # complex tau is invalid for complex_independent; only the second
         # cell has one, and no report may be written for the first
-        cfg = _fast_config(
-            kind=COMPLEX_INDEPENDENT,
-            dims=((20, 40),),
-            trials=2,
-            sweep_taus=(0.0, 0.3 + 0.3j),
-        )
+        fields = dict(kind=COMPLEX_INDEPENDENT, dims=((20, 40),), sweep_taus=(0.0, 0.3 + 0.3j))
+        with pytest.raises(ConfigError, match="requires real tau"):
+            _fast_config(trials=2, **fields)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.to_json())
+        cfg_path.write_text(
+            json.dumps({"kind": COMPLEX_INDEPENDENT, "dims": [[20, 40]], "trials": 2,
+                        "sweep_taus": [0.0, [0.3, 0.3]]})
+        )
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_alpha_rounding_to_square_pseudo_inverse_is_a_config_error(self, tmp_path):
-        cfg = _fast_config(
-            dims=((40, 80),),
-            product_kind=PSEUDO_INVERSE,
-            checks=("coverage",),
-            trials=1,
-            sweep_alphas=(0.5, 1.01),
-        )
+        fields = dict(dims=((40, 80),), product_kind=PSEUDO_INVERSE, sweep_alphas=(0.5, 1.01))
         with pytest.raises(ConfigError, match="1.01"):
-            cmd_sweep(cfg, out_dir=tmp_path / "direct")
-        assert not (tmp_path / "direct").exists()
+            _fast_config(checks=("coverage",), trials=1, **fields)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.to_json())
+        cfg_path.write_text(
+            json.dumps({"dims": [[40, 80]], "product_kind": PSEUDO_INVERSE,
+                        "checks": ["coverage"], "trials": 1, "sweep_alphas": [0.5, 1.01]})
+        )
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not out.exists()
@@ -473,6 +509,9 @@ class TestCli:
             {"checks": ["penrose", "penrose"]},
             {"out_dir": 5},
             {"dims": [[200_000, 200_000]]},
+            # sweep-cell rules hold for every command
+            {"kind": "complex_independent", "dims": [[20, 40]], "sweep_taus": [0.0, [0.3, 0.3]]},
+            {"dims": [[40, 80]], "sweep_alphas": [0.5, 1.01]},
         ],
     )
     def test_mistyped_field_exits_two(self, tmp_path, monkeypatch, capsys, fields):
@@ -531,8 +570,9 @@ class TestCli:
 class TestThreadCountDeterminism:
     """threads = 1 and threads = 2 give the same CSV bytes and reports.
 
-    The field selects nothing; the dims are large enough that OpenBLAS
-    runs multithreaded inside each trial.
+    threads = 2 splits each trial of these dims across a helper thread
+    (max(n, p) >= OVERLAP_MIN_DIM) and threads = 1 does not; OpenBLAS is
+    pinned to one thread in both, so every LAPACK call runs single-threaded.
     """
 
     @pytest.mark.parametrize("kind", [COMPLEX_INDEPENDENT, REAL])
@@ -555,6 +595,85 @@ class TestThreadCountDeterminism:
             reports.append(report)
         assert csvs[0] == csvs[1]
         assert reports[0] == reports[1]
+
+    def test_cli_output_does_not_depend_on_blas_or_harness_threads(self, tmp_path):
+        with blas_single_thread() as pinned:
+            if not pinned:
+                pytest.skip("no OpenBLAS to pin")
+        config = {"kind": REAL, "tau": 0.5, "dims": [[400, 200], [300, 600]],
+                  "trials": 2, "base_seed": 31337}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        src = str(Path(pairspec.__file__).resolve().parent.parent)
+        outputs = []
+        for blas in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "PYTHONPATH": src}
+            for threads in ("1", "2"):
+                run_dir = tmp_path / f"blas{blas}_threads{threads}"
+                run_dir.mkdir()
+                for command in ("sample", "verify"):
+                    argv = [sys.executable, "-m", "pairspec.cli", command, "--config",
+                            str(cfg_path), "--out", "out", "--threads", threads]
+                    done = subprocess.run(argv, cwd=run_dir, env=env, capture_output=True)
+                    assert done.returncode in (0, 1), done.stderr
+                report = json.loads((run_dir / "out" / "report.json").read_text())
+                report.pop("wall_time_s")
+                report["config"].pop("threads")
+                csv = (run_dir / "out" / "eigenvalues.csv").read_bytes()
+                outputs.append((csv, report))
+        assert all(out == outputs[0] for out in outputs[1:])
+
+
+class TestTrialOverlap:
+    """Trials at or above OVERLAP_MIN_DIM split across one helper thread."""
+
+    def _config(self, threads):
+        # both aspects at the size constant, small enough to run quickly
+        dims = ((20, OVERLAP_MIN_DIM), (OVERLAP_MIN_DIM, 20))
+        return _fast_config(dims=dims, trials=2, checks=CHECK_NAMES, threads=threads)
+
+    def _run(self, tmp_path, monkeypatch, threads):
+        """The report of cmd_verify, and the threads that ran trial work."""
+        seen = set()
+        with monkeypatch.context() as spies:
+            for name in ("sample_pair", "wa_identity_check"):
+                real = getattr(harness, name)
+
+                def spy(*args, _real=real, **kwargs):
+                    seen.add(threading.current_thread())
+                    return _real(*args, **kwargs)
+
+                spies.setattr(harness, name, spy)
+            report, _ = cmd_verify(self._config(threads), out_dir=tmp_path / f"t{threads}")
+        report = report.to_json_dict()
+        report.pop("wall_time_s")
+        report["config"].pop("threads")
+        report["config"].pop("out_dir")
+        return report, seen
+
+    def test_one_helper_and_none_left_running(self, tmp_path, monkeypatch):
+        with blas_single_thread() as pinned:
+            if not pinned:
+                pytest.skip("no OpenBLAS to pin")
+        before = set(threading.enumerate())
+        report, seen = self._run(tmp_path, monkeypatch, threads=2)
+        helpers = seen - {threading.current_thread()}
+        assert len(helpers) == 1
+        assert set(threading.enumerate()) == before
+        assert report == self._run(tmp_path, monkeypatch, threads=1)[0]
+
+    def test_no_helper_without_the_pin(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(matalg, "_openblas_controls", lambda: [])
+        report, seen = self._run(tmp_path, monkeypatch, threads=2)
+        assert seen == {threading.current_thread()}
+        assert [c["name"] for c in report["checks"]] == list(CHECK_NAMES)
+        assert report["overall"] in ("pass", "fail")
+        assert report == self._run(tmp_path, monkeypatch, threads=1)[0]
+
+    def test_threads_zero_follows_cpu_affinity(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _, seen = self._run(tmp_path, monkeypatch, threads=0)
+        assert seen == {threading.current_thread()}
 
 
 def _count_calls(monkeypatch, name, calls):

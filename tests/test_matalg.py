@@ -1,5 +1,8 @@
 """Pseudo-inverse, Penrose diagnostics, eigensolver wrapper, matching."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,8 @@ from pairspec import (
     penrose_residuals,
     pseudo_inverse,
 )
+from pairspec import matalg
+from pairspec.matalg import blas_single_thread
 
 
 def _gaussian(n, p, seed, complex_entries=True):
@@ -102,6 +107,13 @@ class TestPenroseResiduals:
         with pytest.raises(ShapeMismatch):
             penrose_residuals(np.eye(3), np.eye(2))
 
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 100])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_blocked_hermitian_residual_matches_full_norm(self, size, complex_entries):
+        m = _gaussian(size, size, seed=size, complex_entries=complex_entries)
+        want = np.linalg.norm(m - m.conj().T)
+        assert matalg._hermitian_residual(m) == pytest.approx(want, rel=1e-13)
+
 
 class TestEigenvalues:
     def test_nilpotent(self):
@@ -178,3 +190,62 @@ class TestMultisetMaxDistance:
 
     def test_empty_inputs_match(self):
         assert multiset_max_distance(np.empty(0), np.empty(0)) == 0.0
+
+
+class TestBlasSingleThread:
+    def _counts(self):
+        return [get() for get, _ in matalg._openblas_controls()]
+
+    def test_pins_nests_and_restores(self):
+        before = self._counts()
+        if not before:
+            pytest.skip("no OpenBLAS loaded")
+        with blas_single_thread() as pinned:
+            assert pinned is True
+            assert self._counts() == [1] * len(before)
+            with blas_single_thread() as inner:
+                assert inner is True
+            assert self._counts() == [1] * len(before)  # the outer pin still holds
+        assert self._counts() == before
+
+    def test_restores_after_an_exception(self):
+        before = self._counts()
+        with pytest.raises(RuntimeError), blas_single_thread():
+            raise RuntimeError
+        assert self._counts() == before
+
+    def test_unavailable_changes_nothing(self, monkeypatch):
+        before = self._counts()
+        monkeypatch.setattr(matalg, "_openblas_controls", lambda: [])
+        with blas_single_thread() as pinned:
+            assert pinned is False
+            monkeypatch.undo()
+            assert self._counts() == before
+
+    def test_concurrent_pins_hold_and_restore(self):
+        # more threads than cores entering and leaving pins at once: while
+        # any pin is held the count is 1, and the last one out restores it
+        before = self._counts()
+        if not before:
+            pytest.skip("no OpenBLAS loaded")
+        seen = []
+
+        def worker():
+            for _ in range(200):
+                with blas_single_thread():
+                    seen.append(self._counts())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 * 200
+        assert all(counts == [1] * len(before) for counts in seen)
+        assert self._counts() == before
