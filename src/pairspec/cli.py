@@ -9,10 +9,9 @@ Subcommands::
 
 All subcommands share the flags --config (JSON experiment config; built-in
 defaults when omitted), --out (output directory), --seed (override the
-config's base seed), --threads (0: one per CPU; 1: every trial on the
-calling thread; 2 or more: large verify trials overlap their halves on
-one helper thread; output is the same for every value) and --strict
-(promote advisory check failures to fatal).  Exit codes:
+config's base seed), --threads (kept for old configs; it has no effect:
+every trial runs on the calling thread) and --strict (promote advisory
+check failures to fatal).  Exit codes:
 0 success, 1 verification failure, 2 configuration or I/O error.
 """
 
@@ -44,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         metavar="N",
-        help="0 = one per CPU, 1 = calling thread only; output is the same for every value",
+        help="no effect; every trial runs on the calling thread",
     )
     common.add_argument(
         "--strict",

@@ -6,13 +6,14 @@ counter-based mixing function, trials run in order, and text outputs are
 written with repr-exact floats and LF endings.  Every command does its
 trial work with OpenBLAS pinned to one thread, so repeated runs produce
 byte-identical CSVs and semantically identical JSON reports (wall time
-aside) whatever the BLAS or harness thread count.
+aside) whatever the BLAS thread count; ``threads`` selects nothing.
 
 The ``verify`` command runs a configurable battery of checks; five reduce
-one pass over ``sample``'s pairs, drawing each once.  Exact
-identities (Penrose conditions, product-ordering spectral identity,
-zero-atom counts, membership-route equivalence, the field-level parts of
-rotation covariance) fail fatally when violated.  Statistical support-
+one pass over ``sample``'s pairs, drawing each once, and every trial runs
+on the calling thread.  Exact identities (Penrose conditions, the
+product-ordering identity in determinant form, zero-atom counts,
+membership-route equivalence, the field-level parts of rotation
+covariance) fail fatally when violated.  Statistical support-
 coverage shortfalls are advisory by default -- the underlying support-
 convergence statement is a conjecture at finite N -- and are promoted to
 fatal by ``strict``.  The process exit code is 0 iff no non-advisory
@@ -29,7 +30,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -45,12 +46,13 @@ from .ensembles import (
 )
 from .errors import AlphaOneUnsupported, ConfigError, PairspecError
 from .empirical import (
+    WA_DET_TOL,
     SpectrumSample,
     coverage,
     default_zero_tol,
     grand_mean,
     spectrum,
-    wa_identity_check,
+    wa_determinant_check,
 )
 from .matalg import blas_single_thread, eigenvalues, penrose_residuals, pseudo_inverse
 from .predict import (
@@ -66,9 +68,6 @@ from .predict import (
     mean_eigenvalue_prediction,
     support_contains,
 )
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 __all__ = [
     "CHECK_NAMES",
@@ -95,17 +94,12 @@ CHECK_NAMES = (
 
 # Fixed tolerances for the exact-identity checks.
 PENROSE_TOL = 1e-10
-WA_TOL = 1e-7
 EQUIV_DRAWS = 1000
 EQUIV_BAND = 1e-9
 COVERAGE_MIN_INSIDE = 0.995
 SE_SIGMAS = 4.0
 ROTATION_ANGLE = math.pi / 3.0
 FIELD_TOL = 1e-12
-# A trial whose max(n, p) is at least this splits into two halves that run
-# at once (see _trial_records).  Measured on a 2-core host with BLAS pinned:
-# the split broke even at (200, 400) and won clearly at (400, 800).
-OVERLAP_MIN_DIM = 256
 
 # Seed-counter bases of the three streams; validate_config keeps them disjoint.
 # Rotation and disc_equivalence keep the bases of 0.1.0, and so its draws.
@@ -209,7 +203,7 @@ class ExperimentConfig:
     zero_tol: float | None = None  # None = automatic policy per spectrum
     checks: tuple[str, ...] = CHECK_NAMES
     strict: bool = False
-    threads: int = 0  # 0 = one per CPU this process may run on; 1 = calling thread only
+    threads: int = 0  # selects nothing: every trial runs on the calling thread
     out_dir: str | None = None
     sweep_taus: tuple[complex, ...] = ()
     sweep_alphas: tuple[float, ...] = ()
@@ -285,24 +279,24 @@ def _sweep_p(alpha: float, n0: int) -> int:
 
 
 def _trial_bytes(n: int, p: int, itemsize: int) -> int:
-    """Peak bytes of one verify trial at (n, p), its helper half in flight.
+    """Peak bytes of one verify trial at (n, p); its steps run one at a time.
 
-    In matrix entries, with m = max(n, p) and s = min(n, p): the pair, 2np;
-    the helper's half, one full-size product and the copy LAPACK's
-    eigensolver makes of it, 2m^2; and the calling thread's half at its
-    largest, one of: the SVD (numpy's copy of Y, U, Vh and the solver's
-    real workspace) or the pseudo-inverse built from them, together under
-    4np + 5s^2; the Penrose check, the pseudo-inverse, one square product,
-    a quarter-size block of its Hermitian residual and two np-sized
-    residual terms, 3np + 5m^2/4; or the zero count, the pseudo-inverse
-    plus X Y† and its eigensolver copy, np + 2m^2.  Sampling (3np) and the
-    reduced-path spectrum (under 3np + 4s^2) peak lower, before the helper
-    starts or next to it.  Left out: O(m) workspace, OpenBLAS's per-thread
-    buffers and the interpreter itself.
+    In matrix entries, with m = max(n, p) and s = min(n, p): the pair, 2np,
+    alive throughout, and the largest of the steps, one of: the SVD
+    (numpy's copy of Y, U, Vh and the solver's real workspace) or the
+    pseudo-inverse built from them, together under 4np + 5s^2; the Penrose
+    check, the pseudo-inverse, one square product, a quarter-size block of
+    its Hermitian residual and two np-sized residual terms, 3np + 5m^2/4;
+    the zero count, the pseudo-inverse plus X Y† and its eigensolver copy,
+    np + 2m^2; or the determinant-form product-ordering check, both
+    products and LAPACK's LU copy of one, under 2m^2 + s^2 entries that
+    are complex whatever the kind.  Sampling (3np), the reduced-path
+    spectrum (under 3np + 4s^2) and rotation (one pair) peak lower.  Left
+    out: O(m) workspace, OpenBLAS's buffers and the interpreter itself.
     """
     m, s, np_ = max(n, p), min(n, p), n * p
-    main = max(4 * np_ + 5 * s * s, 3 * np_ + 5 * m * m // 4, np_ + 2 * m * m)
-    return (2 * np_ + 2 * m * m + main) * itemsize
+    steps = max(4 * np_ + 5 * s * s, 3 * np_ + 5 * m * m // 4, np_ + 2 * m * m)
+    return 2 * np_ * itemsize + max(steps * itemsize, (2 * m * m + s * s) * 16)
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -431,50 +425,26 @@ def _support(
     return disc_support(params, alpha)
 
 
-def _later(pool: Executor | None, fn: Callable[..., Any], *args: Any) -> Callable[[], Any]:
-    """Start fn(*args) on the pool's helper thread, or run it now without one.
-
-    Returns a getter for the result; on the helper it waits for it.
-    """
-    if pool is None:
-        value = fn(*args)
-        return lambda: value
-    return pool.submit(fn, *args).result
-
-
-def _eig_sum(params: EnsembleParams, dims: Dims, seed: int) -> complex:
-    """Sum of the eigenvalues of X Y* for the pair drawn at ``seed``."""
-    return complex(np.sum(spectrum(sample_pair(params, dims, seed), CONJ_TRANSPOSE).eigs))
-
-
-def _trial_records(
-    config: ExperimentConfig, pool: Executor | None
-) -> dict[str, list[list[Any]]]:
+def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
     """Draw each (dims, trial) pair once and reduce it for the enabled checks.
 
     Returns, for each check name, one list per dims entry of its per-trial
-    scalars in trial order: the largest Penrose residual, the product-
-    ordering (verdict, mismatch), the zero count of X Y† on the SVD
+    scalars in trial order: the largest Penrose residual, the determinant-
+    form product-ordering (verdict, gap), the zero count of X Y† on the SVD
     reference path (p < n only), the CoverageReport and the eigenvalue sum
     (under ``mean_eigenvalue``), and, for the first dims entry only, the
-    eigenvalue sums of rotation's seed-matched base and rotated pairs.  A
+    traces of X Y* of rotation's seed-matched base and rotated pairs.  A
     list stays empty unless its check is enabled.  The pairs are the ones
     ``cmd_sample`` writes; one SVD pseudo-inverse per pair feeds both
     ``penrose`` and ``zero_atoms``, and one reduced-path spectrum both
-    ``coverage`` and ``mean_eigenvalue``.
-
-    With a ``pool``, a trial with max(n, p) >= OVERLAP_MIN_DIM runs in two
-    halves at once over its read-only pair: the product-ordering check's
-    two full-size eigensolves on the helper thread, the rest on the
-    calling thread (rotation: the base pair on the helper, the rotated one
-    here).  Each trial joins before the next starts.
+    ``coverage`` and ``mean_eigenvalue``.  Everything runs on the calling
+    thread, one step at a time (see :func:`_trial_bytes`).
     """
     on = set(config.checks)
     params = config.ensemble_params()
     records = {name: [[] for _ in config.dims] for name in CHECK_NAMES}
     for d_i, (n, p) in enumerate(config.dims):
         rec = {name: lists[d_i] for name, lists in records.items()}
-        helper = pool if max(n, p) >= OVERLAP_MIN_DIM else None
         support = None
         if "coverage" in on:
             with contextlib.suppress(AlphaOneUnsupported):  # coverage reports it
@@ -489,7 +459,7 @@ def _trial_records(
             seed = derive_seed(config.base_seed, base + trial)
             pair = sample_pair(params, Dims(n, p), seed)
             if wa:
-                wa_result = _later(helper, wa_identity_check, pair, WA_TOL)
+                rec["weinstein_aronszajn"].append(wa_determinant_check(pair))
             if "penrose" in on or zeros:
                 pinv = pseudo_inverse(pair.y_mat).pinv
             if "penrose" in on:
@@ -506,17 +476,17 @@ def _trial_records(
                 if support is not None:
                     rep = coverage(s, support, config.margin, config.zero_tol)
                     rec["coverage"].append(rep)
-            if wa:
-                rec["weinstein_aronszajn"].append(wa_result())
     if "rotation" in on:
         dims = Dims(*config.dims[0])
-        helper = pool if max(dims.n, dims.p) >= OVERLAP_MIN_DIM else None
-        base_params, rot_params = _rotation_params(config)
+        ensembles = _rotation_params(config)
         for trial in range(config.trials):
             seed = derive_seed(config.base_seed, _ROTATION_SEED_BASE + trial)
-            base_sum = _later(helper, _eig_sum, base_params, dims, seed)
-            rot_sum = _eig_sum(rot_params, dims, seed)
-            records["rotation"][0].append((base_sum(), rot_sum))
+            sums = []
+            for ensemble in ensembles:  # the base pair, then the rotated one
+                pair = sample_pair(ensemble, dims, seed)
+                sums.append(complex(np.vdot(pair.y_mat, pair.x_mat)))  # trace(X Y*)
+                pair = None
+            records["rotation"][0].append(tuple(sums))
     return records
 
 
@@ -548,13 +518,13 @@ def _check_penrose(config: ExperimentConfig, records: list[list]) -> CheckResult
 
 
 def _check_wa(config: ExperimentConfig, records: list[list]) -> CheckResult:
-    """Spectrum of X Y* equals spectrum of Y* X plus |N-P| zeros."""
+    """det(I - X Y*/z) equals det(I - Y* X/z) at every pair's shifts."""
     results = [r for block in records for r in block]
-    worst = max(mismatch for _, mismatch in results)
+    worst = max(gap for _, gap in results)
     return CheckResult(
         name="weinstein_aronszajn",
         status=_status(not all(ok for ok, _ in results), False, config.strict),
-        stats={"max_mismatch": worst, "samples": len(results), "tol": WA_TOL},
+        stats={"max_log_det_gap": worst, "samples": len(results), "tol": WA_DET_TOL},
     )
 
 
@@ -803,29 +773,6 @@ _CHECK_FUNCS: dict[str, Callable[[ExperimentConfig, list[list]], CheckResult]] =
 # commands
 
 
-@contextlib.contextmanager
-def _trial_pool(config: ExperimentConfig) -> Iterator[Executor | None]:
-    """Pin BLAS to one thread for the block; yield the trial helper's pool.
-
-    The pool (one helper thread, started on first use) is None when BLAS
-    could not be pinned or ``threads`` leaves one thread: with threads 0,
-    the CPUs this process may run on.  Leaving the block joins the helper.
-    """
-    threads = config.threads
-    if not threads:
-        affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
-        threads = len(affinity(0)) if affinity else os.cpu_count() or 1
-    with blas_single_thread() as pinned:
-        if not pinned or threads < 2:
-            yield None
-            return
-        # imported here, not at module load, to keep its ~6 ms out of start-up
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="pairspec-trial") as pool:
-            yield pool
-
-
 def _resolve_out(config: ExperimentConfig, out_dir: str | os.PathLike | None) -> Path:
     out = Path(out_dir if out_dir is not None else config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -888,12 +835,10 @@ def cmd_boundary(
     return path
 
 
-def _run_checks(
-    config: ExperimentConfig, shared: dict, pool: Executor | None
-) -> VerificationReport:
+def _run_checks(config: ExperimentConfig, shared: dict) -> VerificationReport:
     """Run the configured checks, taking any named in ``shared`` from it."""
     started = time.perf_counter()
-    records = _trial_records(config, pool)
+    records = _trial_records(config)
     results = tuple(
         shared[name] if name in shared else _CHECK_FUNCS[name](config, records[name])
         for name in config.checks
@@ -923,8 +868,8 @@ def cmd_verify(
     advisory shortfalls do not change it unless the config is strict.
     """
     out = _resolve_out(config, out_dir)
-    with _trial_pool(config) as pool:
-        report = _run_checks(config, {}, pool)
+    with blas_single_thread():
+        report = _run_checks(config, {})
     path = out / "report.json"
     _write_report(report, path)
     return report, path
@@ -958,9 +903,9 @@ def cmd_sweep(
     out = _resolve_out(config, out_dir)
     paths: list[Path] = []
     worst = 0
-    with _trial_pool(config) as pool:
+    with blas_single_thread():
         for name, cell in cells:
-            report = _run_checks(cell, shared, pool)
+            report = _run_checks(cell, shared)
             path = out / name
             _write_report(report, path)
             paths.append(path)

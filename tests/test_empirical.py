@@ -29,8 +29,10 @@ from pairspec import (
     reference_spectrum,
     sample_pair,
     spectrum,
+    wa_determinant_check,
     wa_identity_check,
 )
+from pairspec.empirical import WA_DET_TOL
 
 UNIT = EnsembleParams(1.0, 1.0, 0.0)
 
@@ -196,6 +198,109 @@ class TestWaIdentity:
         padded = np.concatenate([small, np.zeros(4, np.complex128)])
         padded[0] += 10.0
         assert multiset_max_distance(big, padded) > 1.0
+
+
+# wa_identity_check's tolerance in these comparisons, relative to
+# max(1, largest |eigenvalue|).
+SPECTRAL_TOL = 1e-7
+
+
+def _tau(kind, modulus):
+    """A tau of the given modulus that the kind accepts: complex where it may be."""
+    return modulus * (0.6 + 0.8j) if kind == COMPLEX_GENERAL else -modulus
+
+
+def _shapes(n):
+    return [(n, n - 1), (n, n + 1), (n, n // 4), (n, 3 * n)]
+
+
+class _PlantedY(np.ndarray):
+    """Y whose product Y* X (Y* on the left) comes out with one entry off.
+
+    X Y* is untouched, so the two orderings no longer share a spectrum:
+    the planted error stands for a fault in one product's arithmetic.
+    """
+
+    def __matmul__(self, other):
+        out = np.asarray(self) @ np.asarray(other)
+        out[self.entry] += self.delta
+        return out
+
+    def __rmatmul__(self, other):
+        return np.asarray(other) @ np.asarray(self)
+
+    def __array_finalize__(self, obj):
+        self.entry = getattr(obj, "entry", None)
+        self.delta = getattr(obj, "delta", 0.0)
+
+
+def _plant(pair, entry, delta):
+    y = pair.y_mat.view(_PlantedY)
+    y.entry, y.delta = entry, delta
+    return dataclasses.replace(pair, y_mat=y)
+
+
+class TestWaDeterminant:
+    """The determinant form against the spectral reference, wa_identity_check."""
+
+    @pytest.mark.parametrize("modulus", [0.0, 0.5, 0.999999, 1.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_clean_pairs_pass_both_forms(self, kind, modulus):
+        for n, p in _shapes(32):
+            params = EnsembleParams(1.3, 0.7, _tau(kind, modulus), kind=kind)
+            pair = sample_pair(params, Dims(n, p), 40 + p)
+            assert wa_identity_check(pair, SPECTRAL_TOL)[0]
+            ok, gap = wa_determinant_check(pair)
+            assert ok
+            assert gap <= WA_DET_TOL / 10  # clean gaps measure under 1e-13
+
+    def test_gap_is_deterministic(self):
+        pair = sample_pair(EnsembleParams(1.0, 1.0, 0.5, kind=REAL), Dims(30, 70), seed=3)
+        assert wa_determinant_check(pair) == wa_determinant_check(pair)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_whatever_the_spectral_form_rejects(self, kind):
+        rejected = 0
+        for n, p in _shapes(24):
+            params = EnsembleParams(1.0, 1.0, _tau(kind, 0.5), kind=kind)
+            pair = sample_pair(params, Dims(n, p), 50 + p)
+            small = pair.y_mat.conj().T @ pair.x_mat
+            scale = max(1.0, float(np.max(np.abs(eigenvalues(small)))))
+            for entry in [(0, 0), (1, 0), (p - 1, 0)]:
+                for k in range(-10, -2):
+                    planted = _plant(pair, entry, 10.0**k * scale)
+                    if not wa_identity_check(planted, SPECTRAL_TOL)[0]:
+                        rejected += 1
+                        assert not wa_determinant_check(planted)[0], (n, p, entry, k)
+        assert rejected >= 4 * 3 * 3  # at least the three largest errors everywhere
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_an_error_the_spectral_form_passes(self, kind):
+        # 1e-9 * scale in one entry of Y* X moves eigenvalues by ~1e-10:
+        # far under the spectral tolerance, far over the determinant one
+        for n, p in _shapes(24) + [(200, 100), (100, 200)]:
+            params = EnsembleParams(1.0, 1.0, _tau(kind, 0.5), kind=kind)
+            pair = sample_pair(params, Dims(n, p), 60 + p)
+            small = pair.y_mat.conj().T @ pair.x_mat
+            scale = max(1.0, float(np.max(np.abs(eigenvalues(small)))))
+            planted = _plant(pair, (0, 0), 1e-9 * scale)
+            assert wa_identity_check(planted, SPECTRAL_TOL)[0]
+            ok, gap = wa_determinant_check(planted)
+            assert not ok
+            assert gap > 10 * WA_DET_TOL
+
+
+class TestTraceIsTheEigenvalueSum:
+    """rotation reduces trace(X Y*) = vdot(Y, X) in place of an eigensolve."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n, p", [(40, 17), (25, 25), (17, 40)])
+    def test_vdot_matches_the_spectrum(self, kind, n, p):
+        params = EnsembleParams(1.2, 0.8, _tau(kind, 0.5), kind=kind)
+        pair = sample_pair(params, Dims(n, p), seed=n + p)
+        eigs = spectrum(pair, CONJ_TRANSPOSE).eigs
+        trace = complex(np.vdot(pair.y_mat, pair.x_mat))
+        assert abs(trace - np.sum(eigs)) <= 1e-12 * max(1.0, float(np.sum(np.abs(eigs))))
 
 
 class TestDefaultZeroTol:

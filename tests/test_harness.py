@@ -1,5 +1,6 @@
 """Config round-trips, seed derivation, commands, and exit-code contract."""
 
+import cmath
 import dataclasses
 import gc
 import json
@@ -10,7 +11,6 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,18 +30,22 @@ from pairspec import (
     REAL,
     AlphaOneUnsupported,
     ConfigError,
+    Dims,
     ExperimentConfig,
     cmd_boundary,
     cmd_sample,
     cmd_sweep,
     cmd_verify,
     derive_seed,
+    grand_mean,
+    sample_pair,
+    spectrum,
     validate_config,
 )
 import pairspec
-from pairspec import empirical, harness, matalg
+from pairspec import empirical, harness
 from pairspec.cli import main
-from pairspec.harness import EQUIV_DRAWS, OVERLAP_MIN_DIM
+from pairspec.harness import EQUIV_DRAWS
 from pairspec.matalg import blas_single_thread
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -261,19 +265,18 @@ class TestMemoryGuard:
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX_GENERAL])
     @pytest.mark.parametrize("dims", [(120, 60), (60, 120), (100, 100), (150, 30), (30, 150)])
-    def test_bound_covers_the_traced_peak(self, monkeypatch, kind, dims):
-        # every check, each trial split across the helper thread
-        monkeypatch.setattr(harness, "OVERLAP_MIN_DIM", 0)
+    def test_bound_covers_the_traced_peak(self, kind, dims):
+        # every check, on the calling thread
         product = CONJ_TRANSPOSE if dims[0] == dims[1] else PSEUDO_INVERSE
         cfg = ExperimentConfig(
             kind=kind, dims=(dims,), trials=1, checks=CHECK_NAMES, product_kind=product
         )
-        with ThreadPoolExecutor(max_workers=1) as pool, blas_single_thread():
-            harness._trial_records(cfg, pool)  # first-call allocations
+        with blas_single_thread():
+            harness._trial_records(cfg)  # first-call allocations
             gc.collect()
             tracemalloc.start()
             try:
-                harness._trial_records(cfg, pool)
+                harness._trial_records(cfg)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -570,9 +573,9 @@ class TestCli:
 class TestThreadCountDeterminism:
     """threads = 1 and threads = 2 give the same CSV bytes and reports.
 
-    threads = 2 splits each trial of these dims across a helper thread
-    (max(n, p) >= OVERLAP_MIN_DIM) and threads = 1 does not; OpenBLAS is
-    pinned to one thread in both, so every LAPACK call runs single-threaded.
+    ``threads`` selects nothing, and OpenBLAS is pinned to one thread
+    whatever OPENBLAS_NUM_THREADS says, so every LAPACK call runs
+    single-threaded.
     """
 
     @pytest.mark.parametrize("kind", [COMPLEX_INDEPENDENT, REAL])
@@ -624,58 +627,6 @@ class TestThreadCountDeterminism:
         assert all(out == outputs[0] for out in outputs[1:])
 
 
-class TestTrialOverlap:
-    """Trials at or above OVERLAP_MIN_DIM split across one helper thread."""
-
-    def _config(self, threads):
-        # both aspects at the size constant, small enough to run quickly
-        dims = ((20, OVERLAP_MIN_DIM), (OVERLAP_MIN_DIM, 20))
-        return _fast_config(dims=dims, trials=2, checks=CHECK_NAMES, threads=threads)
-
-    def _run(self, tmp_path, monkeypatch, threads):
-        """The report of cmd_verify, and the threads that ran trial work."""
-        seen = set()
-        with monkeypatch.context() as spies:
-            for name in ("sample_pair", "wa_identity_check"):
-                real = getattr(harness, name)
-
-                def spy(*args, _real=real, **kwargs):
-                    seen.add(threading.current_thread())
-                    return _real(*args, **kwargs)
-
-                spies.setattr(harness, name, spy)
-            report, _ = cmd_verify(self._config(threads), out_dir=tmp_path / f"t{threads}")
-        report = report.to_json_dict()
-        report.pop("wall_time_s")
-        report["config"].pop("threads")
-        report["config"].pop("out_dir")
-        return report, seen
-
-    def test_one_helper_and_none_left_running(self, tmp_path, monkeypatch):
-        with blas_single_thread() as pinned:
-            if not pinned:
-                pytest.skip("no OpenBLAS to pin")
-        before = set(threading.enumerate())
-        report, seen = self._run(tmp_path, monkeypatch, threads=2)
-        helpers = seen - {threading.current_thread()}
-        assert len(helpers) == 1
-        assert set(threading.enumerate()) == before
-        assert report == self._run(tmp_path, monkeypatch, threads=1)[0]
-
-    def test_no_helper_without_the_pin(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(matalg, "_openblas_controls", lambda: [])
-        report, seen = self._run(tmp_path, monkeypatch, threads=2)
-        assert seen == {threading.current_thread()}
-        assert [c["name"] for c in report["checks"]] == list(CHECK_NAMES)
-        assert report["overall"] in ("pass", "fail")
-        assert report == self._run(tmp_path, monkeypatch, threads=1)[0]
-
-    def test_threads_zero_follows_cpu_affinity(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        _, seen = self._run(tmp_path, monkeypatch, threads=0)
-        assert seen == {threading.current_thread()}
-
-
 def _count_calls(monkeypatch, name, calls):
     """Replace harness.<name> with a wrapper that counts its calls."""
     real = getattr(harness, name)
@@ -699,10 +650,35 @@ class TestTrialPipeline:
         monkeypatch.setattr(empirical, "pseudo_inverse", harness.pseudo_inverse)
         cmd_verify(cfg, out_dir=tmp_path)
         # one pass over dims x trials, plus rotation's two seed-matched streams
-        want = len(cfg.dims) * cfg.trials + 2 * cfg.trials
-        # one SVD per pair, shared by penrose and zero_atoms
-        pinvs = len(cfg.dims) * cfg.trials
-        assert calls == {"sample_pair": want, "spectrum": want, "pseudo_inverse": pinvs}
+        pairs = len(cfg.dims) * cfg.trials
+        want = pairs + 2 * cfg.trials
+        # one SVD and one spectrum per pair; rotation reduces traces
+        assert calls == {"sample_pair": want, "spectrum": pairs, "pseudo_inverse": pairs}
+
+    def test_rotation_reduces_traces_of_each_pair_drawn_once(self, tmp_path, monkeypatch):
+        cfg = _fast_config(dims=((24, 40),), trials=4, checks=("rotation",))
+        calls = Counter()
+        _count_calls(monkeypatch, "sample_pair", calls)
+        _count_calls(monkeypatch, "spectrum", calls)
+        report, _ = cmd_verify(cfg, out_dir=tmp_path)
+        assert calls == {"sample_pair": 2 * cfg.trials}
+        stats = report.checks[0].stats
+        # the same statistic from eigenvalue sums of the same pairs
+        dims = Dims(*cfg.dims[0])
+        sums = [
+            [
+                np.sum(spectrum(sample_pair(params, dims, seed), CONJ_TRANSPOSE).eigs)
+                for seed in (
+                    derive_seed(cfg.base_seed, harness._ROTATION_SEED_BASE + t)
+                    for t in range(cfg.trials)
+                )
+            ]
+            for params in harness._rotation_params(cfg)
+        ]
+        (m0, se0), (m1, se1) = (grand_mean(s, [dims.n] * cfg.trials) for s in sums)
+        dev = abs(m1 - cmath.exp(1j * harness.ROTATION_ANGLE) * m0)
+        assert abs(stats["mean_deviation"] - dev) <= 1e-12 * max(1.0, abs(m0))
+        assert abs(stats["joint_standard_error"] - math.hypot(se0, se1)) <= 1e-12
 
     def test_mean_eigenvalue_reduces_the_sampled_spectra(self, tmp_path):
         cfg = _fast_config(
@@ -745,6 +721,7 @@ class TestTrialPipeline:
         assert all(s == stats[0] for s in stats)
 
     def test_trials_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        # threads = 2 and max(n, p) >= 256, where a helper thread used to run
         before = threading.active_count()
         seen = []
         real = harness.sample_pair
@@ -754,8 +731,11 @@ class TestTrialPipeline:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "sample_pair", spy)
-        cmd_verify(_fast_config(checks=CHECK_NAMES, threads=2), out_dir=tmp_path / "v")
-        sweep = _fast_config(checks=CHECK_NAMES, threads=2, sweep_alphas=(0.5, 2.0))
+        verify = _fast_config(dims=((24, 12), (20, 300)), checks=CHECK_NAMES, threads=2)
+        cmd_verify(verify, out_dir=tmp_path / "v")
+        sweep = _fast_config(
+            dims=((20, 300),), checks=CHECK_NAMES, threads=2, sweep_alphas=(0.5, 13.0)
+        )
         cmd_sweep(sweep, out_dir=tmp_path / "s")
         assert seen
         assert set(seen) == {before}
