@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import PairspecError
+from .errors import ConfigError, PairspecError
 from .harness import (
     ExperimentConfig,
     cmd_boundary,
@@ -74,7 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8: {exc}") from exc
         config = ExperimentConfig.from_json(text)
     else:
         config = ExperimentConfig()

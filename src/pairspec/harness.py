@@ -30,7 +30,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -41,13 +41,13 @@ from .ensembles import (
     REAL,
     Dims,
     EnsembleParams,
+    MatrixPair,
     sample_pair,
     validate_params,
 )
 from .errors import AlphaOneUnsupported, ConfigError, PairspecError
 from .empirical import (
     WA_DET_TOL,
-    SpectrumSample,
     coverage,
     default_zero_tol,
     grand_mean,
@@ -290,9 +290,12 @@ def _trial_bytes(n: int, p: int, itemsize: int) -> int:
     the zero count, the pseudo-inverse plus X Y† and its eigensolver copy,
     np + 2m^2; or the determinant-form product-ordering check, both
     products and LAPACK's LU copy of one, under 2m^2 + s^2 entries that
-    are complex whatever the kind.  Sampling (3np), the reduced-path
-    spectrum (under 3np + 4s^2) and rotation (one pair) peak lower.  Left
-    out: O(m) workspace, OpenBLAS's buffers and the interpreter itself.
+    are complex whatever the kind.  Sampling (3np) and the reduced-path
+    spectrum (under 3np + 4s^2) peak lower.  So does rotation, whose one
+    complex pair peaks at 3np complex entries, 48np bytes, while it is
+    drawn, whatever the kind: the real trial's bound is at least 16np +
+    8(4np + 5s^2) = 48np + 40s^2 bytes.  Left out: O(m) workspace,
+    OpenBLAS's buffers and the interpreter itself.
     """
     m, s, np_ = max(n, p), min(n, p), n * p
     steps = max(4 * np_ + 5 * s * s, 3 * np_ + 5 * m * m // 4, np_ + 2 * m * m)
@@ -324,25 +327,23 @@ def validate_config(config: ExperimentConfig) -> None:
         if n < 1 or p < 1:
             raise ConfigError(f"dims entries must be positive, got ({n}, {p})")
     n0 = config.dims[0][0]
-    # (shape, whether rotation runs at it): the first dims entry, each sweep cell
-    shapes = [(d, i == 0) for i, d in enumerate(config.dims)]
+    shapes = list(config.dims)  # then each sweep cell's, below
     for a in config.sweep_alphas:
         if not (a > 0.0 and math.isfinite(a * n0)):  # a sweep cell has p = a * n0
             raise ConfigError(
                 f"sweep_alphas entries must be > 0 with alpha * n0 finite, got {a}"
             )
         p = _sweep_p(a, n0)
-        shapes.append(((n0, p), True))
+        shapes.append((n0, p))
         if config.product_kind == PSEUDO_INVERSE and p == n0 and a != 1.0:
             raise ConfigError(
                 f"sweep alpha {a} rounds to the square shape ({n0}, {n0}) "
                 f"at n0 = {n0}; pseudo_inverse has no prediction there"
             )
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    for (n, p), first in shapes:
-        # rotation draws complex pairs, whatever the kind
-        rotation = first and "rotation" in config.checks
-        need = _trial_bytes(n, p, 8 if config.kind == REAL and not rotation else 16)
+    itemsize = 8 if config.kind == REAL else 16
+    for n, p in shapes:
+        need = _trial_bytes(n, p, itemsize)
         if need > memory:
             raise ConfigError(
                 f"dims ({n}, {p}) need at least {need >> 30} GiB for one trial; "
@@ -390,30 +391,21 @@ class VerificationReport:
     exit_code: int
     wall_time_s: float
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "checks": [asdict(c) for c in self.checks],
-            "overall": self.overall,
-            "exit_code": self.exit_code,
-            "wall_time_s": self.wall_time_s,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def _spectra(
-    config: ExperimentConfig,
-    params: EnsembleParams,
-    dims: Dims,
-    product_kind: str,
-    seed_base: int,
-) -> list[SpectrumSample]:
-    """config.trials spectra at consecutive derived seeds, trial-ordered."""
-    seeds = [derive_seed(config.base_seed, seed_base + t) for t in range(config.trials)]
-    return [spectrum(sample_pair(params, dims, s), product_kind) for s in seeds]
+def _pairs(config: ExperimentConfig, d_i: int) -> Iterator[MatrixPair]:
+    """The sample stream's pairs at dims entry ``d_i``, in trial order.
+
+    Trial t is drawn at derive_seed(base_seed, _SAMPLE_SEED_BASE +
+    d_i * trials + t); validate_config keeps this stream clear of the
+    others.  Each pair is drawn when it is asked for.
+    """
+    params, dims = config.ensemble_params(), Dims(*config.dims[d_i])
+    base = _SAMPLE_SEED_BASE + d_i * config.trials
+    for trial in range(config.trials):
+        yield sample_pair(params, dims, derive_seed(config.base_seed, base + trial))
 
 
 def _support(
@@ -434,11 +426,14 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
     reference path (p < n only), the CoverageReport and the eigenvalue sum
     (under ``mean_eigenvalue``), and, for the first dims entry only, the
     traces of X Y* of rotation's seed-matched base and rotated pairs.  A
-    list stays empty unless its check is enabled.  The pairs are the ones
-    ``cmd_sample`` writes; one SVD pseudo-inverse per pair feeds both
-    ``penrose`` and ``zero_atoms``, and one reduced-path spectrum both
-    ``coverage`` and ``mean_eigenvalue``.  Everything runs on the calling
-    thread, one step at a time (see :func:`_trial_bytes`).
+    list stays empty unless its check is enabled.  Each dims entry's
+    support is built once, here; where it cannot be, ``coverage`` gets the
+    AlphaOneUnsupported raised in place of that entry's list.  The pairs
+    come from :func:`_pairs`, as ``cmd_sample``'s do; one SVD
+    pseudo-inverse per pair feeds both ``penrose`` and ``zero_atoms``, and
+    one reduced-path spectrum both ``coverage`` and ``mean_eigenvalue``.
+    Everything runs on the calling thread, one step at a time (see
+    :func:`_trial_bytes`).
     """
     on = set(config.checks)
     params = config.ensemble_params()
@@ -447,17 +442,16 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
         rec = {name: lists[d_i] for name, lists in records.items()}
         support = None
         if "coverage" in on:
-            with contextlib.suppress(AlphaOneUnsupported):  # coverage reports it
+            try:
                 support = _support(params, p / n, config.product_kind)
+            except AlphaOneUnsupported as exc:  # its traceback would pin this frame
+                records["coverage"][d_i] = exc.with_traceback(None)
         zeros = "zero_atoms" in on and p < n
         spec = support is not None or "mean_eigenvalue" in on
         wa = "weinstein_aronszajn" in on
         if not (zeros or spec or wa or "penrose" in on):
             continue
-        base = _SAMPLE_SEED_BASE + d_i * config.trials
-        for trial in range(config.trials):
-            seed = derive_seed(config.base_seed, base + trial)
-            pair = sample_pair(params, Dims(n, p), seed)
+        for pair in _pairs(config, d_i):
             if wa:
                 rec["weinstein_aronszajn"].append(wa_determinant_check(pair))
             if "penrose" in on or zeros:
@@ -579,20 +573,18 @@ def _check_coverage(config: ExperimentConfig, records: list[list]) -> CheckResul
     Support convergence at finite N is conjectural, so a shortfall below
     the 99.5% inside-fraction floor is advisory unless strict.  A support
     that cannot even be constructed (square-aspect pseudo-inverse) is a
-    configuration failure and fatal.
+    configuration failure and fatal; :func:`_trial_records` hands it over
+    in place of the dims entry's reports.
     """
-    params = config.ensemble_params()
     per_dims: list[dict[str, Any]] = []
     fatal = False
     advisory = False
     note = ""
     for (n, p), reps in zip(config.dims, records):
-        try:
-            _support(params, p / n, config.product_kind)
-        except AlphaOneUnsupported as exc:
+        if isinstance(reps, AlphaOneUnsupported):
             fatal = True
-            note = f"dims ({n}, {p}): {exc}"
-            per_dims.append({"n": n, "p": p, "error": type(exc).__name__})
+            note = f"dims ({n}, {p}): {reps}"
+            per_dims.append({"n": n, "p": p, "error": type(reps).__name__})
             continue
         frac = sum(n - r.outlier_count for r in reps) / (n * config.trials)
         advisory = advisory or frac < COVERAGE_MIN_INSIDE
@@ -782,30 +774,20 @@ def _resolve_out(config: ExperimentConfig, out_dir: str | os.PathLike | None) ->
 def cmd_sample(
     config: ExperimentConfig, out_dir: str | os.PathLike | None = None
 ) -> Path:
-    """Write every configured spectrum to one CSV; deterministic bytes.
+    """Write the spectrum of every pair of :func:`_pairs` to one CSV.
 
     Columns: trial, n, p, re_lambda, im_lambda.  The trial column counts
-    within each dims block; floats are repr-exact, line endings LF.
+    within each dims block; floats are repr-exact, line endings LF, so the
+    bytes are deterministic.  Each trial's rows are written as soon as its
+    pair is drawn, so one trial at a time is held in memory.
     """
-    out = _resolve_out(config, out_dir)
-    params = config.ensemble_params()
-    path = out / "eigenvalues.csv"
-
-    blocks: list[tuple[int, int, list[SpectrumSample]]] = []
-    with blas_single_thread():
-        for d_i, (n, p) in enumerate(config.dims):
-            base = _SAMPLE_SEED_BASE + d_i * config.trials
-            samples = _spectra(config, params, Dims(n, p), config.product_kind, base)
-            blocks.append((n, p, samples))
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    path = _resolve_out(config, out_dir) / "eigenvalues.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh, blas_single_thread():
         fh.write("trial,n,p,re_lambda,im_lambda\n")
-        for n, p, samples in blocks:
-            for trial, s in enumerate(samples):
-                for lam in s.eigs:
-                    fh.write(
-                        f"{trial},{n},{p},{_fmt(lam.real)},{_fmt(lam.imag)}\n"
-                    )
+        for d_i, (n, p) in enumerate(config.dims):
+            for trial, pair in enumerate(_pairs(config, d_i)):
+                for lam in spectrum(pair, config.product_kind).eigs:
+                    fh.write(f"{trial},{n},{p},{_fmt(lam.real)},{_fmt(lam.imag)}\n")
     return path
 
 

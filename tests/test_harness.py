@@ -232,9 +232,10 @@ class TestValidateConfig:
 class TestMemoryGuard:
     """A dims entry whose one-trial working set exceeds physical memory is refused.
 
-    The bound is harness._trial_bytes: 8 bytes an entry for the real kind,
-    16 otherwise, and 16 wherever rotation draws its complex pairs.  The
-    guard tests build configs only; nothing large is allocated.
+    The bound is harness._trial_bytes: 8 bytes an entry for the real kind
+    and 16 otherwise, at every dims entry and sweep cell.  Rotation's one
+    complex pair fits inside the real trial's bound, so it adds no rule.
+    The guard tests build configs only; nothing large is allocated.
     """
 
     _MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -251,12 +252,10 @@ class TestMemoryGuard:
         with pytest.raises(ConfigError, match="GiB"):
             ExperimentConfig(kind=COMPLEX_INDEPENDENT, dims=((n, n),), checks=("penrose",))
 
-    def test_rotation_counts_complex_on_the_first_entry(self):
+    def test_rotation_on_the_first_entry_is_charged_at_the_kinds_size(self):
         n = self._edge()
-        # rotation runs at dims[0] only, on complex pairs
-        ExperimentConfig(kind=REAL, dims=((4, 2), (n, n)), checks=("rotation",))
-        with pytest.raises(ConfigError, match="GiB"):
-            ExperimentConfig(kind=REAL, dims=((n, n), (4, 2)), checks=("rotation",))
+        # rotation's complex pair at dims[0] needs 48n^2 bytes; the real trial 88n^2
+        ExperimentConfig(kind=REAL, dims=((n, n), (4, 2)), checks=("rotation",))
 
     def test_sweep_cell_is_checked(self):
         # every sweep cell is checked when the config is built
@@ -280,7 +279,7 @@ class TestMemoryGuard:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= harness._trial_bytes(*dims, 16)  # rotation's pairs are complex
+        assert peak <= harness._trial_bytes(*dims, 8 if kind == REAL else 16)
 
 
 class TestCmdSample:
@@ -310,6 +309,21 @@ class TestCmdSample:
         b1 = cmd_sample(_fast_config(base_seed=1), out_dir=tmp_path / "a").read_bytes()
         b2 = cmd_sample(_fast_config(base_seed=2), out_dir=tmp_path / "b").read_bytes()
         assert b1 != b2
+
+    def test_rows_are_written_as_each_trial_is_drawn(self, tmp_path):
+        # memory does not grow with the trial count
+        def peak(trials):
+            cfg = _fast_config(dims=((40, 20),), trials=trials)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                cmd_sample(cfg, out_dir=tmp_path / str(trials))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations
+        assert peak(2000) <= 2 * peak(2)
 
 
 class TestCmdBoundary:
@@ -529,6 +543,16 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(run_dir.iterdir()) == []
 
+    def test_non_utf8_config_exits_two(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe" + '{"trials": 2}'.encode("utf-16-le"))
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main(["verify", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(run_dir.iterdir()) == []
+
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -647,13 +671,20 @@ class TestTrialPipeline:
         _count_calls(monkeypatch, "sample_pair", calls)
         _count_calls(monkeypatch, "spectrum", calls)
         _count_calls(monkeypatch, "pseudo_inverse", calls)
+        _count_calls(monkeypatch, "_support", calls)
         monkeypatch.setattr(empirical, "pseudo_inverse", harness.pseudo_inverse)
         cmd_verify(cfg, out_dir=tmp_path)
         # one pass over dims x trials, plus rotation's two seed-matched streams
         pairs = len(cfg.dims) * cfg.trials
         want = pairs + 2 * cfg.trials
-        # one SVD and one spectrum per pair; rotation reduces traces
-        assert calls == {"sample_pair": want, "spectrum": pairs, "pseudo_inverse": pairs}
+        # one SVD and one spectrum per pair; rotation reduces traces; one
+        # support per dims entry
+        assert calls == {
+            "sample_pair": want,
+            "spectrum": pairs,
+            "pseudo_inverse": pairs,
+            "_support": len(cfg.dims),
+        }
 
     def test_rotation_reduces_traces_of_each_pair_drawn_once(self, tmp_path, monkeypatch):
         cfg = _fast_config(dims=((24, 40),), trials=4, checks=("rotation",))
