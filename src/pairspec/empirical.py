@@ -24,11 +24,10 @@ import numpy as np
 
 from .ensembles import Dims, EnsembleParams, MatrixPair
 from .errors import EmptyInput
-from .matalg import eigenvalues, multiset_max_distance, pseudo_inverse
+from .matalg import eigenvalues, multiset_max_distance, pseudo_inverse, qr_factor
 from .predict import (
     CONJ_TRANSPOSE,
     PRODUCT_KINDS,
-    PSEUDO_INVERSE,
     DiscSupport,
     EllipseSupport,
     support_contains,
@@ -81,48 +80,33 @@ def _check_product_kind(product_kind: str) -> None:
         )
 
 
-def _reduced_pinv_eigs(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """The min(N, P) eigenvalues of X Y† that are not kernel zeros.
-
-    No SVD and no normal equations: for P < N, Y = QR gives
-    Y† = R^-1 Q*, and X R^-1 Q* has the eigenvalues of the P x P matrix
-    R^-1 Q* X plus N - P zeros.  For P >= N, Y* = QR gives Y† = Q R^-*,
-    and X Q R^-* is similar to the N x N matrix R^-* X Q.  Returns None
-    when R is numerically singular, by the pseudo-inverse's own cutoff
-    scale: min |r_ii| <= max(N, P) * eps * max |r_ii|.
-    """
-    n, p = y.shape
-    tall = p < n
-    q, r = np.linalg.qr(y if tall else y.conj().T)
-    diag = np.abs(np.diagonal(r))
-    if not diag.min() > max(n, p) * np.finfo(np.float64).eps * diag.max():
-        return None  # also taken for non-finite input
-    if tall:
-        m = np.linalg.solve(r, q.conj().T @ x)
-    else:
-        m = np.linalg.solve(r.conj().T, x @ q)
-    return eigenvalues(m)
-
-
-def spectrum(pair: MatrixPair, product_kind: str) -> SpectrumSample:
+def spectrum(
+    pair: MatrixPair, product_kind: str, reduced: np.ndarray | None = None
+) -> SpectrumSample:
     """Eigenvalues of X Y* or X Y† for one sampled pair (N values).
 
     The eigenproblem is solved at min(N, P), by the identity that
     :func:`wa_identity_check` verifies: for P < N the spectrum is that of
     a P x P matrix (Y* X, or R^-1 Q* X from Y = QR) followed by N - P
-    exact zeros.  X Y† never forms Y† and uses no SVD; when Y is
-    numerically rank-deficient it falls back to :func:`reference_spectrum`.
-    Real input is factored and solved in float64.
+    exact zeros.  X Y† never forms Y† and uses no SVD: the small matrix is
+    :meth:`QRFactor.reduced`.  When Y is numerically rank-deficient it
+    falls back to :func:`reference_spectrum`.  A caller that already holds
+    the small matrix (``qr_factor(Y).reduced(X)`` for X Y†) passes it as
+    ``reduced``, and only its eigensolve runs.  Real input is factored and
+    solved in float64.
     """
     _check_product_kind(product_kind)
     x, y = pair.x_mat, pair.y_mat
     n, p = y.shape
-    if product_kind == CONJ_TRANSPOSE:
-        eigs = eigenvalues(y.conj().T @ x) if p < n else eigenvalues(x @ y.conj().T)
-    else:
-        eigs = _reduced_pinv_eigs(x, y)
-        if eigs is None:
-            return reference_spectrum(pair, product_kind)
+    if reduced is None:
+        if product_kind == CONJ_TRANSPOSE:
+            reduced = y.conj().T @ x if p < n else x @ y.conj().T
+        else:
+            factor = qr_factor(y)
+            if factor is None:
+                return reference_spectrum(pair, product_kind)
+            reduced = factor.reduced(x)
+    eigs = eigenvalues(reduced)
     if eigs.size < n:
         eigs = np.concatenate([eigs, np.zeros(n - eigs.size, np.complex128)])
     return SpectrumSample(eigs, product_kind, pair.dims, pair.params, pair.seed)
@@ -133,8 +117,9 @@ def reference_spectrum(pair: MatrixPair, product_kind: str) -> SpectrumSample:
 
     The reference path for :func:`spectrum`: Y† comes from the SVD
     pseudo-inverse, and every one of the N eigenvalues, kernel zeros
-    included, comes out of the eigensolver.  Zero-count checks use it,
-    since the reduced path's padded zeros would pass them by construction.
+    included, comes out of the eigensolver.  Tests compare the two paths,
+    and :func:`spectrum` falls back to this one when Y is numerically
+    rank-deficient.
     """
     _check_product_kind(product_kind)
     if product_kind == CONJ_TRANSPOSE:

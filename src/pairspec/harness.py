@@ -51,10 +51,17 @@ from .empirical import (
     coverage,
     default_zero_tol,
     grand_mean,
+    reference_spectrum,
     spectrum,
     wa_determinant_check,
 )
-from .matalg import blas_single_thread, eigenvalues, penrose_residuals, pseudo_inverse
+from .matalg import (
+    blas_single_thread,
+    eigenvalues,
+    penrose_residuals,
+    pseudo_inverse,
+    qr_factor,
+)
 from .predict import (
     CONJ_TRANSPOSE,
     PRODUCT_KINDS,
@@ -282,20 +289,27 @@ def _trial_bytes(n: int, p: int, itemsize: int) -> int:
     """Peak bytes of one verify trial at (n, p); its steps run one at a time.
 
     In matrix entries, with m = max(n, p) and s = min(n, p): the pair, 2np,
-    alive throughout, and the largest of the steps, one of: the SVD
-    (numpy's copy of Y, U, Vh and the solver's real workspace) or the
-    pseudo-inverse built from them, together under 4np + 5s^2; the Penrose
-    check, the pseudo-inverse, one square product, a quarter-size block of
-    its Hermitian residual and two np-sized residual terms, 3np + 5m^2/4;
-    the zero count, the pseudo-inverse plus X Y† and its eigensolver copy,
-    np + 2m^2; or the determinant-form product-ordering check, both
-    products and LAPACK's LU copy of one, under 2m^2 + s^2 entries that
-    are complex whatever the kind.  Sampling (3np) and the reduced-path
-    spectrum (under 3np + 4s^2) peak lower.  So does rotation, whose one
-    complex pair peaks at 3np complex entries, 48np bytes, while it is
-    drawn, whatever the kind: the real trial's bound is at least 16np +
-    8(4np + 5s^2) = 48np + 40s^2 bytes.  Left out: O(m) workspace,
-    OpenBLAS's buffers and the interpreter itself.
+    alive throughout, and the largest of the steps, one of: the SVD that
+    replaces the QR factor wherever R is numerically singular, which any
+    pair may take (numpy's copy of Y, U, Vh and the solver's real
+    workspace) or the pseudo-inverse built from them, together under
+    4np + 5s^2; the Penrose check, the pseudo-inverse, one square product,
+    a quarter-size block of its Hermitian residual and two np-sized
+    residual terms, 3np + 5m^2/4; the zero count, the pseudo-inverse plus
+    X Y† and its eigensolver copy, np + 2m^2; or the determinant-form
+    product-ordering check, both products and LAPACK's LU copy of one,
+    under 2m^2 + s^2 entries that are complex whatever the kind.  The QR
+    steps peak lower, and Q and R are freed before the square products:
+    the factorisation (Y* when Y is not tall, numpy's copies of it, Q and
+    R) under 4np + s^2; X Y†'s reduced matrix (Q, R, Q's conjugate, the
+    solver's copies and the result) under 2np + 5s^2, and its eigensolve
+    lower; and Y† from the factor (Q, R, Q's conjugate, the solver's
+    copies of R and Q* and the result) under 4np + 2s^2.  Sampling (3np)
+    peaks lower too.  So does rotation, whose one complex pair peaks at
+    3np complex entries, 48np bytes, while it is drawn, whatever the kind:
+    the real trial's bound is at least 16np + 8(4np + 5s^2) = 48np + 40s^2
+    bytes.  Left out: O(m) workspace, OpenBLAS's buffers and the
+    interpreter itself.
     """
     m, s, np_ = max(n, p), min(n, p), n * p
     steps = max(4 * np_ + 5 * s * s, 3 * np_ + 5 * m * m // 4, np_ + 2 * m * m)
@@ -422,54 +436,82 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
 
     Returns, for each check name, one list per dims entry of its per-trial
     scalars in trial order: the largest Penrose residual, the determinant-
-    form product-ordering (verdict, gap), the zero count of X Y† on the SVD
-    reference path (p < n only), the CoverageReport and the eigenvalue sum
+    form product-ordering (verdict, gap), the zero count of the full N x N
+    product X Y† (p < n only), the CoverageReport, the product's trace
     (under ``mean_eigenvalue``), and, for the first dims entry only, the
     traces of X Y* of rotation's seed-matched base and rotated pairs.  A
     list stays empty unless its check is enabled.  Each dims entry's
     support is built once, here; where it cannot be, ``coverage`` gets the
     AlphaOneUnsupported raised in place of that entry's list.  The pairs
-    come from :func:`_pairs`, as ``cmd_sample``'s do; one SVD
-    pseudo-inverse per pair feeds both ``penrose`` and ``zero_atoms``, and
-    one reduced-path spectrum both ``coverage`` and ``mean_eigenvalue``.
+    come from :func:`_pairs`, as ``cmd_sample``'s do.
+
+    Y is factored once per pair, by :func:`qr_factor`, and that factor
+    feeds X Y†'s reduced matrix (its eigensolve for ``coverage``, its
+    trace for ``mean_eigenvalue``) and then the explicit Y† that
+    ``penrose`` and ``zero_atoms`` read; Q and R are freed before their
+    square products.  Where R is numerically singular, Y† comes from the
+    SVD and the spectrum from :func:`reference_spectrum`.  The trace of
+    X Y* is ``vdot(Y, X)``.  No eigensolve runs for ``mean_eigenvalue``.
     Everything runs on the calling thread, one step at a time (see
     :func:`_trial_bytes`).
     """
     on = set(config.checks)
     params = config.ensemble_params()
     records = {name: [[] for _ in config.dims] for name in CHECK_NAMES}
+    kind = config.product_kind
+    mean, penrose = "mean_eigenvalue" in on, "penrose" in on
+    wa = "weinstein_aronszajn" in on
     for d_i, (n, p) in enumerate(config.dims):
         rec = {name: lists[d_i] for name, lists in records.items()}
         support = None
         if "coverage" in on:
             try:
-                support = _support(params, p / n, config.product_kind)
+                support = _support(params, p / n, kind)
             except AlphaOneUnsupported as exc:  # its traceback would pin this frame
                 records["coverage"][d_i] = exc.with_traceback(None)
         zeros = "zero_atoms" in on and p < n
-        spec = support is not None or "mean_eigenvalue" in on
-        wa = "weinstein_aronszajn" in on
-        if not (zeros or spec or wa or "penrose" in on):
+        reduce = kind == PSEUDO_INVERSE and (support is not None or mean)
+        factored = reduce or penrose or zeros
+        if not (factored or support is not None or mean or wa):
             continue
         for pair in _pairs(config, d_i):
+            x, y = pair.x_mat, pair.y_mat
             if wa:
                 rec["weinstein_aronszajn"].append(wa_determinant_check(pair))
-            if "penrose" in on or zeros:
-                pinv = pseudo_inverse(pair.y_mat).pinv
-            if "penrose" in on:
-                res = penrose_residuals(pair.y_mat, pinv)
-                rec["penrose"].append(max(res.values()))
-            if zeros:  # what reference_spectrum computes for X Y†
-                eigs = eigenvalues(pair.x_mat @ pinv)
+            trace = sample = pinv = None
+            if kind == CONJ_TRANSPOSE:  # X Y* needs no factor of Y
+                trace = complex(np.vdot(y, x)) if mean else None
+                sample = spectrum(pair, kind) if support is not None else None
+            if factored:
+                factor = qr_factor(y)
+                if factor is None:  # R numerically singular: the SVD reference path
+                    if reduce and support is not None:
+                        sample = reference_spectrum(pair, kind)
+                    pinv = pseudo_inverse(y).pinv
+                    if reduce:
+                        trace = complex(np.einsum("ij,ji->", x, pinv))
+                else:
+                    if reduce:
+                        m = factor.reduced(x)
+                        trace = complex(np.trace(m))
+                        if support is not None:
+                            sample = spectrum(pair, kind, reduced=m)
+                        m = None
+                    if penrose or zeros:
+                        pinv = factor.pinv()
+                    factor = None  # Q and R go before the square products
+            if mean:
+                rec["mean_eigenvalue"].append(trace)
+            if sample is not None:
+                rec["coverage"].append(coverage(sample, support, config.margin, config.zero_tol))
+            if penrose:
+                rec["penrose"].append(max(penrose_residuals(y, pinv).values()))
+            if zeros:  # the eigensolver finds the kernel zeros; none are padded
+                eigs = eigenvalues(x @ pinv)
                 ztol = config.zero_tol or default_zero_tol(eigs)
                 rec["zero_atoms"].append(int(np.count_nonzero(np.abs(eigs) <= ztol)))
-            pinv = eigs = None  # freed before the spectrum's factorisation
-            if spec:
-                s = spectrum(pair, config.product_kind)
-                rec["mean_eigenvalue"].append(complex(np.sum(s.eigs)))
-                if support is not None:
-                    rep = coverage(s, support, config.margin, config.zero_tol)
-                    rec["coverage"].append(rep)
+                eigs = None
+            pinv = None
     if "rotation" in on:
         dims = Dims(*config.dims[0])
         ensembles = _rotation_params(config)
@@ -527,9 +569,11 @@ def _check_zero_atoms(config: ExperimentConfig, records: list[list]) -> CheckRes
 
     The count bound is an exact rank statement and fails fatally; the
     fraction band (2/sqrt(n) around 1 - p/n) is statistical and advisory,
-    since only "at least" is guaranteed.  Spectra come from the SVD
-    reference path: the reduced path pads exactly n - p zeros, which would
-    pass the count by construction.
+    since only "at least" is guaranteed.  Each count comes from the
+    eigensolve of the full n x n product X Y†, Y† from the pair's QR
+    factor (the SVD where R is numerically singular), not from the
+    reduced-path spectrum: that pads exactly n - p zeros, which would pass
+    the count by construction.
     """
     rect = [(n, p, c) for (n, p), c in zip(config.dims, records) if p < n]
     if not rect:

@@ -1,12 +1,15 @@
-"""Dense matrix kernels: pseudo-inverse, Penrose checks, spectra.
+"""Dense matrix kernels: pseudo-inverses, Penrose checks, spectra.
 
-Thin, validating wrappers around LAPACK via numpy.  The pseudo-inverse is
-computed from the SVD with an explicit relative cutoff so that the
-effective rank is part of the result, and eigenvalue extraction maps
-LAPACK failure modes onto this package's error types.  Real input stays
-real (float64), so it runs the cheaper real LAPACK routines; complex
-input is complex128.  :func:`blas_single_thread` pins OpenBLAS to one
-thread for a block of work.
+Thin, validating wrappers around LAPACK via numpy.  A full-rank matrix's
+pseudo-inverse comes from one reduced QR, :func:`qr_factor`, which also
+yields the small matrix whose spectrum is that of X Y†.  The SVD
+pseudo-inverse, :func:`pseudo_inverse`, is the reference path and the
+fallback when R is numerically singular: it applies an explicit relative
+cutoff so that the effective rank is part of the result.  Eigenvalue
+extraction maps LAPACK failure modes onto this package's error types.
+Real input stays real (float64), so it runs the cheaper real LAPACK
+routines; complex input is complex128.  :func:`blas_single_thread` pins
+OpenBLAS to one thread for a block of work.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .errors import EmptyMatrix, NoConvergence, NonFinite, NonSquare, ShapeMisma
 __all__ = [
     "PinvResult",
     "pseudo_inverse",
+    "QRFactor",
+    "qr_factor",
     "penrose_residuals",
     "eigenvalues",
     "multiset_max_distance",
@@ -75,6 +80,51 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None) -> PinvResult:
     return PinvResult(pinv=pinv, rank=rank, cutoff=cutoff)
 
 
+@dataclass(frozen=True)
+class QRFactor:
+    """Reduced QR of a full-rank N x P matrix Y, whose pseudo-inverse it carries.
+
+    For P < N it factors Y = QR, so Y† = R^-1 Q*; for P >= N it factors
+    Y* = QR, so Y† = Q R^-* = (R^-1 Q*)*.  R is min(N, P) square.
+    """
+
+    q: np.ndarray
+    r: np.ndarray
+    tall: bool  # P < N: Y = QR; otherwise Y* = QR
+
+    def reduced(self, x: np.ndarray) -> np.ndarray:
+        """The min(N, P) matrix with X Y†'s spectrum less its N - P kernel zeros.
+
+        R^-1 Q* X for P < N, whose eigenvalues X R^-1 Q* shares; R^-* X Q
+        for P >= N, similar to X Q R^-*.
+        """
+        if self.tall:
+            return np.linalg.solve(self.r, self.q.conj().T @ x)
+        return np.linalg.solve(self.r.conj().T, x @ self.q)
+
+    def pinv(self) -> np.ndarray:
+        """Y†, P x N: R^-1 Q*, or its conjugate transpose when Y* was factored."""
+        g = np.linalg.solve(self.r, self.q.conj().T)
+        return g if self.tall else g.conj().T
+
+
+def qr_factor(a: np.ndarray) -> QRFactor | None:
+    """Factor ``a`` (or a* when it is not tall) by reduced QR, or None.
+
+    None when R is numerically singular, by the SVD pseudo-inverse's own
+    cutoff scale: min |r_ii| <= max(N, P) * eps * max |r_ii|.  The caller
+    then takes :func:`pseudo_inverse`.
+    """
+    a = _as_matrix(a, "qr_factor")
+    n, p = a.shape
+    tall = p < n
+    q, r = np.linalg.qr(a if tall else a.conj().T)
+    diag = np.abs(np.diagonal(r))
+    if not diag.min() > max(n, p) * np.finfo(np.float64).eps * diag.max():
+        return None
+    return QRFactor(q, r, tall)
+
+
 def penrose_residuals(a: np.ndarray, a_pinv: np.ndarray) -> dict[str, float]:
     """Frobenius residuals of the four defining pseudo-inverse identities.
 
@@ -91,16 +141,28 @@ def penrose_residuals(a: np.ndarray, a_pinv: np.ndarray) -> dict[str, float]:
         )
     norm_a = np.linalg.norm(a)
     norm_g = np.linalg.norm(g)
-    ag = a @ g
-    aga = float(np.linalg.norm(ag @ a - a) / norm_a)
-    ag_hermitian = _hermitian_residual(ag) / max(norm_a, 1.0)
-    del ag  # one square product at a time
-    ga = g @ a
+    # Both triple products go through the smaller square, min(N, P) on a
+    # side; the larger one is formed only for its Hermitian residual, and
+    # one square product is alive at a time.
+    if a.shape[1] < a.shape[0]:  # P < N: G A is the smaller square
+        ga = g @ a
+        aga = np.linalg.norm(a @ ga - a)
+        gag = np.linalg.norm(ga @ g - g)
+        ga_hermitian = _hermitian_residual(ga)
+        del ga
+        ag_hermitian = _hermitian_residual(a @ g)
+    else:
+        ag = a @ g
+        aga = np.linalg.norm(ag @ a - a)
+        gag = np.linalg.norm(g @ ag - g)
+        ag_hermitian = _hermitian_residual(ag)
+        del ag
+        ga_hermitian = _hermitian_residual(g @ a)
     return {
-        "aga": aga,
-        "gag": float(np.linalg.norm(ga @ g - g) / norm_g),
-        "ag_hermitian": ag_hermitian,
-        "ga_hermitian": _hermitian_residual(ga) / max(norm_g, 1.0),
+        "aga": float(aga / norm_a),
+        "gag": float(gag / norm_g),
+        "ag_hermitian": ag_hermitian / max(norm_a, 1.0),
+        "ga_hermitian": ga_hermitian / max(norm_g, 1.0),
     }
 
 

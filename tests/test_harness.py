@@ -36,8 +36,10 @@ from pairspec import (
     cmd_sample,
     cmd_sweep,
     cmd_verify,
+    default_zero_tol,
     derive_seed,
     grand_mean,
+    reference_spectrum,
     sample_pair,
     spectrum,
     validate_config,
@@ -671,20 +673,23 @@ class TestTrialPipeline:
         _count_calls(monkeypatch, "sample_pair", calls)
         _count_calls(monkeypatch, "spectrum", calls)
         _count_calls(monkeypatch, "pseudo_inverse", calls)
+        _count_calls(monkeypatch, "qr_factor", calls)
         _count_calls(monkeypatch, "_support", calls)
         monkeypatch.setattr(empirical, "pseudo_inverse", harness.pseudo_inverse)
+        monkeypatch.setattr(empirical, "qr_factor", harness.qr_factor)
         cmd_verify(cfg, out_dir=tmp_path)
         # one pass over dims x trials, plus rotation's two seed-matched streams
         pairs = len(cfg.dims) * cfg.trials
         want = pairs + 2 * cfg.trials
-        # one SVD and one spectrum per pair; rotation reduces traces; one
-        # support per dims entry
+        # one QR factor, no SVD and one spectrum per full-rank pair; rotation
+        # reduces traces; one support per dims entry
         assert calls == {
             "sample_pair": want,
             "spectrum": pairs,
-            "pseudo_inverse": pairs,
+            "qr_factor": pairs,
             "_support": len(cfg.dims),
         }
+        assert calls["pseudo_inverse"] == 0
 
     def test_rotation_reduces_traces_of_each_pair_drawn_once(self, tmp_path, monkeypatch):
         cfg = _fast_config(dims=((24, 40),), trials=4, checks=("rotation",))
@@ -728,6 +733,58 @@ class TestTrialPipeline:
             want = sum(lams) / len(lams)
             got = complex(entry["mean_re"], entry["mean_im"])
             assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("product", PRODUCT_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mean_traces_match_the_eigenvalue_sums(self, monkeypatch, product, kind):
+        cfg = _fast_config(
+            kind=kind,
+            tau=0.3 if kind != COMPLEX_GENERAL else 0.3 + 0.2j,
+            dims=((24, 12), (20, 40)),
+            product_kind=product,
+            checks=("mean_eigenvalue",),
+        )
+        calls = Counter()
+        _count_calls(monkeypatch, "eigenvalues", calls)
+        monkeypatch.setattr(empirical, "eigenvalues", harness.eigenvalues)
+        got = harness._trial_records(cfg)["mean_eigenvalue"]
+        assert calls["eigenvalues"] == 0  # with coverage off, no eigensolve runs
+        for d_i, sums in enumerate(got):
+            for trace, pair in zip(sums, harness._pairs(cfg, d_i), strict=True):
+                eigs = spectrum(pair, product).eigs
+                assert abs(trace - np.sum(eigs)) <= 1e-12 * float(np.sum(np.abs(eigs)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rank_deficient_y_takes_the_svd_fallback(self, tmp_path, monkeypatch, kind):
+        real = harness.sample_pair
+
+        def planted(*args, **kwargs):
+            pair = real(*args, **kwargs)
+            y = pair.y_mat.copy()
+            y[:, 5] = y[:, 2]  # two equal columns: rank p - 1
+            return dataclasses.replace(pair, y_mat=y)
+
+        monkeypatch.setattr(harness, "sample_pair", planted)
+        calls = Counter()
+        _count_calls(monkeypatch, "pseudo_inverse", calls)
+        cfg = _fast_config(
+            kind=kind,
+            tau=0.3 if kind != COMPLEX_GENERAL else 0.3 + 0.2j,
+            dims=((24, 12),),
+            checks=("penrose", "zero_atoms", "coverage", "mean_eigenvalue"),
+        )
+        report, _ = cmd_verify(cfg, out_dir=tmp_path)
+        assert calls["pseudo_inverse"] == cfg.trials
+        results = {c.name: c for c in report.checks}
+        assert results["penrose"].status == "pass"
+        assert results["zero_atoms"].stats["per_dims"][0]["min_zero_count"] >= 24 - 12 + 1
+        # coverage reads the reference spectrum, and the mean the trace of X Y†
+        records = harness._trial_records(cfg)
+        reports, traces = records["coverage"][0], records["mean_eigenvalue"][0]
+        for rep, trace, pair in zip(reports, traces, harness._pairs(cfg, 0), strict=True):
+            eigs = reference_spectrum(pair, PSEUDO_INVERSE).eigs
+            assert rep.zero_count == int(np.count_nonzero(np.abs(eigs) <= default_zero_tol(eigs)))
+            assert abs(trace - np.sum(eigs)) <= 1e-12 * float(np.sum(np.abs(eigs)))
 
     def test_sweep_runs_disc_equivalence_once(self, tmp_path, monkeypatch):
         cfg = _fast_config(

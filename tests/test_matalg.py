@@ -17,6 +17,7 @@ from pairspec import (
     multiset_max_distance,
     penrose_residuals,
     pseudo_inverse,
+    qr_factor,
 )
 from pairspec import matalg
 from pairspec.matalg import blas_single_thread
@@ -107,12 +108,77 @@ class TestPenroseResiduals:
         with pytest.raises(ShapeMismatch):
             penrose_residuals(np.eye(3), np.eye(2))
 
+    @pytest.mark.parametrize("n, p", [(30, 12), (12, 30), (20, 20)])
+    def test_triple_products_match_the_direct_forms(self, n, p):
+        # an inexact pinv, so that every residual is far from rounding level
+        a = _gaussian(n, p, seed=8)
+        g = pseudo_inverse(a).pinv + 1e-3 * _gaussian(p, n, seed=9)
+        ag, ga = a @ g, g @ a
+        want = {
+            "aga": np.linalg.norm(ag @ a - a) / np.linalg.norm(a),
+            "gag": np.linalg.norm(ga @ g - g) / np.linalg.norm(g),
+            "ag_hermitian": np.linalg.norm(ag - ag.conj().T) / max(np.linalg.norm(a), 1.0),
+            "ga_hermitian": np.linalg.norm(ga - ga.conj().T) / max(np.linalg.norm(g), 1.0),
+        }
+        got = penrose_residuals(a, g)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-9)
+
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 100])
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_blocked_hermitian_residual_matches_full_norm(self, size, complex_entries):
         m = _gaussian(size, size, seed=size, complex_entries=complex_entries)
         want = np.linalg.norm(m - m.conj().T)
         assert matalg._hermitian_residual(m) == pytest.approx(want, rel=1e-13)
+
+
+class TestQRFactor:
+    """qr_factor's pseudo-inverse against the SVD reference path."""
+
+    @given(
+        small=st.integers(1, 20),
+        extra=st.integers(1, 20),
+        shape=st.sampled_from(["tall", "wide", "square"]),
+        complex_entries=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pinv_matches_svd(self, small, extra, shape, complex_entries, seed):
+        n, p = {"tall": (small + extra, small), "wide": (small, small + extra)}.get(
+            shape, (small, small)
+        )
+        y = _gaussian(n, p, seed, complex_entries)
+        got = qr_factor(y).pinv()
+        ref = pseudo_inverse(y).pinv
+        assert got.shape == ref.shape == (p, n)
+        assert got.dtype == ref.dtype
+        # both paths are backward stable: their gap scales with cond(Y)
+        s = np.linalg.svd(y, compute_uv=False)
+        tol = 16 * max(n, p) * np.finfo(np.float64).eps * s[0] / s[-1]
+        assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n, p", [(40, 17), (25, 25), (17, 40)])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_pinv_satisfies_all_conditions(self, n, p, complex_entries):
+        y = _gaussian(n, p, seed=n + p, complex_entries=complex_entries)
+        assert max(penrose_residuals(y, qr_factor(y).pinv()).values()) <= 1e-13
+
+    @pytest.mark.parametrize("n, p", [(30, 12), (12, 30), (12, 12)])
+    def test_repeated_column_or_row_is_singular(self, n, p):
+        y = _gaussian(n, p, seed=3)
+        if p <= n:
+            y[:, 5] = y[:, 2]
+        else:
+            y[7, :] = y[3, :]
+        assert qr_factor(y) is None
+        assert pseudo_inverse(y).rank == min(n, p) - 1
+
+    def test_nonfinite_rejected(self):
+        y = _gaussian(6, 3, seed=4)
+        y[1, 1] = np.nan
+        with pytest.raises(NonFinite):
+            qr_factor(y)
 
 
 class TestEigenvalues:
