@@ -88,12 +88,13 @@ def spectrum(
     The eigenproblem is solved at min(N, P), by the identity that
     :func:`wa_identity_check` verifies: for P < N the spectrum is that of
     a P x P matrix (Y* X, or R^-1 Q* X from Y = QR) followed by N - P
-    exact zeros.  X Y† never forms Y† and uses no SVD: the small matrix is
-    :meth:`QRFactor.reduced`.  When Y is numerically rank-deficient it
-    falls back to :func:`reference_spectrum`.  A caller that already holds
-    the small matrix (``qr_factor(Y).reduced(X)`` for X Y†) passes it as
-    ``reduced``, and only its eigensolve runs.  Real input is factored and
-    solved in float64.
+    exact zeros.  For X Y† the matrix is ``qr_factor(Y).reduced(X)``,
+    which forms no Y† and runs no SVD while Y has full rank; for a
+    numerically rank-deficient Y it is the N x N product from the SVD,
+    whose eigensolve finds every kernel zero and nothing is padded, as in
+    :func:`reference_spectrum`.  A caller that already holds the matrix
+    passes it as ``reduced``, and only its eigensolve runs.  Real input
+    is factored and solved in float64.
     """
     _check_product_kind(product_kind)
     x, y = pair.x_mat, pair.y_mat
@@ -102,10 +103,7 @@ def spectrum(
         if product_kind == CONJ_TRANSPOSE:
             reduced = y.conj().T @ x if p < n else x @ y.conj().T
         else:
-            factor = qr_factor(y)
-            if factor is None:
-                return reference_spectrum(pair, product_kind)
-            reduced = factor.reduced(x)
+            reduced = qr_factor(y).reduced(x)
     eigs = eigenvalues(reduced)
     if eigs.size < n:
         eigs = np.concatenate([eigs, np.zeros(n - eigs.size, np.complex128)])
@@ -117,9 +115,9 @@ def reference_spectrum(pair: MatrixPair, product_kind: str) -> SpectrumSample:
 
     The reference path for :func:`spectrum`: Y† comes from the SVD
     pseudo-inverse, and every one of the N eigenvalues, kernel zeros
-    included, comes out of the eigensolver.  Tests compare the two paths,
-    and :func:`spectrum` falls back to this one when Y is numerically
-    rank-deficient.
+    included, comes out of the eigensolver.  Tests compare the two paths;
+    for a numerically rank-deficient Y they agree bit for bit, since
+    :func:`qr_factor` then holds this same Y†.
     """
     _check_product_kind(product_kind)
     if product_kind == CONJ_TRANSPOSE:

@@ -51,17 +51,10 @@ from .empirical import (
     coverage,
     default_zero_tol,
     grand_mean,
-    reference_spectrum,
     spectrum,
     wa_determinant_check,
 )
-from .matalg import (
-    blas_single_thread,
-    eigenvalues,
-    penrose_residuals,
-    pseudo_inverse,
-    qr_factor,
-)
+from .matalg import blas_single_thread, eigenvalues, penrose_residuals, qr_factor
 from .predict import (
     CONJ_TRANSPOSE,
     PRODUCT_KINDS,
@@ -290,26 +283,27 @@ def _trial_bytes(n: int, p: int, itemsize: int) -> int:
 
     In matrix entries, with m = max(n, p) and s = min(n, p): the pair, 2np,
     alive throughout, and the largest of the steps, one of: the SVD that
-    replaces the QR factor wherever R is numerically singular, which any
-    pair may take (numpy's copy of Y, U, Vh and the solver's real
-    workspace) or the pseudo-inverse built from them, together under
-    4np + 5s^2; the Penrose check, the pseudo-inverse, one square product,
-    a quarter-size block of its Hermitian residual and two np-sized
-    residual terms, 3np + 5m^2/4; the zero count, the pseudo-inverse plus
-    X Y† and its eigensolver copy, np + 2m^2; or the determinant-form
-    product-ordering check, both products and LAPACK's LU copy of one,
-    under 2m^2 + s^2 entries that are complex whatever the kind.  The QR
-    steps peak lower, and Q and R are freed before the square products:
-    the factorisation (Y* when Y is not tall, numpy's copies of it, Q and
-    R) under 4np + s^2; X Y†'s reduced matrix (Q, R, Q's conjugate, the
-    solver's copies and the result) under 2np + 5s^2, and its eigensolve
-    lower; and Y† from the factor (Q, R, Q's conjugate, the solver's
-    copies of R and Q* and the result) under 4np + 2s^2.  Sampling (3np)
-    peaks lower too.  So does rotation, whose one complex pair peaks at
-    3np complex entries, 48np bytes, while it is drawn, whatever the kind:
-    the real trial's bound is at least 16np + 8(4np + 5s^2) = 48np + 40s^2
-    bytes.  Left out: O(m) workspace, OpenBLAS's buffers and the
-    interpreter itself.
+    :func:`qr_factor` runs in place of Q and R wherever R is numerically
+    singular, which any pair may take (numpy's copy of Y, U, Vh and the
+    solver's real workspace) or the pseudo-inverse built from them,
+    together under 4np + 5s^2; the Penrose check, the pseudo-inverse, one
+    square product, a quarter-size block of its Hermitian residual and two
+    np-sized residual terms, 3np + 5m^2/4; the zero count, the
+    pseudo-inverse plus X Y† and its eigensolver copy, np + 2m^2, which
+    also bounds the SVD-held factor's N x N reduced matrix and its
+    eigensolve; or the determinant-form product-ordering check, both
+    products and LAPACK's LU copy of one, under 2m^2 + s^2 entries that
+    are complex whatever the kind.  The QR steps peak lower, and Q and R
+    are freed before the square products: the factorisation (Y* when Y
+    is not tall, numpy's copies of it, Q and R) under 4np + s^2; X Y†'s
+    reduced matrix (Q, R, Q's conjugate, the solver's copies and the
+    result) under 2np + 5s^2, and its eigensolve lower; and Y† from the
+    factor (Q, R, Q's conjugate, the solver's copies of R and Q* and the
+    result) under 4np + 2s^2.  Sampling (3np) peaks lower too.  So does
+    rotation, whose one complex pair peaks at 3np complex entries, 48np
+    bytes, while it is drawn, whatever the kind: the real trial's bound is
+    at least 16np + 8(4np + 5s^2) = 48np + 40s^2 bytes.  Left out: O(m)
+    workspace, OpenBLAS's buffers and the interpreter itself.
     """
     m, s, np_ = max(n, p), min(n, p), n * p
     steps = max(4 * np_ + 5 * s * s, 3 * np_ + 5 * m * m // 4, np_ + 2 * m * m)
@@ -449,9 +443,10 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
     feeds X Y†'s reduced matrix (its eigensolve for ``coverage``, its
     trace for ``mean_eigenvalue``) and then the explicit Y† that
     ``penrose`` and ``zero_atoms`` read; Q and R are freed before their
-    square products.  Where R is numerically singular, Y† comes from the
-    SVD and the spectrum from :func:`reference_spectrum`.  The trace of
-    X Y* is ``vdot(Y, X)``.  No eigensolve runs for ``mean_eigenvalue``.
+    square products.  Where R is numerically singular the factor holds
+    the SVD's Y†, and its reduced matrix is the N x N product X Y†: one
+    SVD per pair, and no branch here.  The trace of X Y* is
+    ``vdot(Y, X)``.  No eigensolve runs for ``mean_eigenvalue``.
     Everything runs on the calling thread, one step at a time (see
     :func:`_trial_bytes`).
     """
@@ -484,22 +479,15 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
                 sample = spectrum(pair, kind) if support is not None else None
             if factored:
                 factor = qr_factor(y)
-                if factor is None:  # R numerically singular: the SVD reference path
-                    if reduce and support is not None:
-                        sample = reference_spectrum(pair, kind)
-                    pinv = pseudo_inverse(y).pinv
-                    if reduce:
-                        trace = complex(np.einsum("ij,ji->", x, pinv))
-                else:
-                    if reduce:
-                        m = factor.reduced(x)
-                        trace = complex(np.trace(m))
-                        if support is not None:
-                            sample = spectrum(pair, kind, reduced=m)
-                        m = None
-                    if penrose or zeros:
-                        pinv = factor.pinv()
-                    factor = None  # Q and R go before the square products
+                if reduce:
+                    m = factor.reduced(x)
+                    trace = complex(np.trace(m))
+                    if support is not None:
+                        sample = spectrum(pair, kind, reduced=m)
+                    m = None
+                if penrose or zeros:
+                    pinv = factor.pinv()
+                factor = None  # Q and R go before the square products
             if mean:
                 rec["mean_eigenvalue"].append(trace)
             if sample is not None:
@@ -570,10 +558,10 @@ def _check_zero_atoms(config: ExperimentConfig, records: list[list]) -> CheckRes
     The count bound is an exact rank statement and fails fatally; the
     fraction band (2/sqrt(n) around 1 - p/n) is statistical and advisory,
     since only "at least" is guaranteed.  Each count comes from the
-    eigensolve of the full n x n product X Y†, Y† from the pair's QR
-    factor (the SVD where R is numerically singular), not from the
-    reduced-path spectrum: that pads exactly n - p zeros, which would pass
-    the count by construction.
+    eigensolve of the full n x n product X Y†, Y† from the pair's
+    :func:`qr_factor` (the SVD's where R is numerically singular), not
+    from the reduced-path spectrum: that pads exactly n - p zeros, which
+    would pass the count by construction.
     """
     rect = [(n, p, c) for (n, p), c in zip(config.dims, records) if p < n]
     if not rect:

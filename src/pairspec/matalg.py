@@ -1,11 +1,13 @@
 """Dense matrix kernels: pseudo-inverses, Penrose checks, spectra.
 
-Thin, validating wrappers around LAPACK via numpy.  A full-rank matrix's
-pseudo-inverse comes from one reduced QR, :func:`qr_factor`, which also
-yields the small matrix whose spectrum is that of X Y†.  The SVD
-pseudo-inverse, :func:`pseudo_inverse`, is the reference path and the
-fallback when R is numerically singular: it applies an explicit relative
-cutoff so that the effective rank is part of the result.  Eigenvalue
+Thin, validating wrappers around LAPACK via numpy.  Y's pseudo-inverse is
+decided here and nowhere else: :func:`qr_factor` factors Y by one reduced
+QR and yields Y† and the matrix whose spectrum is that of X Y†; where R is
+numerically singular the same factor carries the SVD pseudo-inverse
+instead, so no caller branches on Y's rank.  :func:`pseudo_inverse` is
+that SVD, and the reference path: it applies an explicit relative cutoff
+so that the effective rank is part of the result.  Both tests of rank use
+one cutoff, max(N, P) * eps relative to the largest value.  Eigenvalue
 extraction maps LAPACK failure modes onto this package's error types.
 Real input stays real (float64), so it runs the cheaper real LAPACK
 routines; complex input is complex128.  :func:`blas_single_thread` pins
@@ -58,20 +60,20 @@ class PinvResult:
     cutoff: float  # absolute singular-value threshold actually applied
 
 
-def pseudo_inverse(a: np.ndarray, rtol: float | None = None) -> PinvResult:
+def _rank_rtol(shape: tuple[int, ...]) -> float:
+    """Relative cutoff of numerical rank: max(N, P) * eps of float64."""
+    return max(shape) * np.finfo(np.float64).eps
+
+
+def pseudo_inverse(a: np.ndarray) -> PinvResult:
     """Moore-Penrose pseudo-inverse of ``a`` via SVD truncation.
 
-    Singular values at or below ``rtol * s_max`` are treated as zero;
-    ``rtol`` defaults to ``max(a.shape) * eps`` for complex128, matching
-    the usual numerical-rank convention.
+    Singular values at or below ``max(a.shape) * eps * s_max`` are treated
+    as zero, the usual numerical-rank convention.
     """
     a = _as_matrix(a, "pseudo_inverse")
-    if rtol is None:
-        rtol = max(a.shape) * np.finfo(np.complex128).eps
-    if rtol < 0.0:
-        raise ValueError(f"rtol must be non-negative, got {rtol}")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cutoff = float(rtol * s[0]) if s.size else 0.0
+    cutoff = float(_rank_rtol(a.shape) * s[0]) if s.size else 0.0
     keep = s > cutoff
     rank = int(np.count_nonzero(keep))
     inv_s = np.zeros_like(s)
@@ -82,46 +84,56 @@ def pseudo_inverse(a: np.ndarray, rtol: float | None = None) -> PinvResult:
 
 @dataclass(frozen=True)
 class QRFactor:
-    """Reduced QR of a full-rank N x P matrix Y, whose pseudo-inverse it carries.
+    """Y's pseudo-inverse, from a reduced QR of the N x P matrix Y or its SVD.
 
     For P < N it factors Y = QR, so Y† = R^-1 Q*; for P >= N it factors
-    Y* = QR, so Y† = Q R^-* = (R^-1 Q*)*.  R is min(N, P) square.
+    Y* = QR, so Y† = Q R^-* = (R^-1 Q*)*.  R is min(N, P) square.  Where R
+    is numerically singular, Q and R are None and ``svd_pinv`` holds
+    :func:`pseudo_inverse`'s Y†, which both methods return from.
     """
 
-    q: np.ndarray
-    r: np.ndarray
+    q: np.ndarray | None
+    r: np.ndarray | None
     tall: bool  # P < N: Y = QR; otherwise Y* = QR
+    svd_pinv: np.ndarray | None = None
 
     def reduced(self, x: np.ndarray) -> np.ndarray:
-        """The min(N, P) matrix with X Y†'s spectrum less its N - P kernel zeros.
+        """The matrix whose eigenvalues are X Y†'s, less any padded zeros.
 
-        R^-1 Q* X for P < N, whose eigenvalues X R^-1 Q* shares; R^-* X Q
-        for P >= N, similar to X Q R^-*.
+        From Q and R it is min(N, P) square, X Y†'s spectrum less its
+        N - P kernel zeros: R^-1 Q* X for P < N, whose eigenvalues
+        X R^-1 Q* shares; R^-* X Q for P >= N, similar to X Q R^-*.  From
+        the SVD it is X Y† itself, N x N, whose eigensolve finds every
+        kernel zero.
         """
+        if self.svd_pinv is not None:
+            return x @ self.svd_pinv
         if self.tall:
             return np.linalg.solve(self.r, self.q.conj().T @ x)
         return np.linalg.solve(self.r.conj().T, x @ self.q)
 
     def pinv(self) -> np.ndarray:
         """Y†, P x N: R^-1 Q*, or its conjugate transpose when Y* was factored."""
+        if self.svd_pinv is not None:
+            return self.svd_pinv
         g = np.linalg.solve(self.r, self.q.conj().T)
         return g if self.tall else g.conj().T
 
 
-def qr_factor(a: np.ndarray) -> QRFactor | None:
-    """Factor ``a`` (or a* when it is not tall) by reduced QR, or None.
+def qr_factor(a: np.ndarray) -> QRFactor:
+    """Factor ``a`` (or a* when it is not tall) by reduced QR.
 
-    None when R is numerically singular, by the SVD pseudo-inverse's own
-    cutoff scale: min |r_ii| <= max(N, P) * eps * max |r_ii|.  The caller
-    then takes :func:`pseudo_inverse`.
+    R is numerically singular when min |r_ii| <= max(N, P) * eps *
+    max |r_ii|, the SVD's own cutoff scale; then Q and R are freed and the
+    factor holds ``pseudo_inverse(a).pinv`` in their place.
     """
     a = _as_matrix(a, "qr_factor")
-    n, p = a.shape
-    tall = p < n
+    tall = a.shape[1] < a.shape[0]
     q, r = np.linalg.qr(a if tall else a.conj().T)
     diag = np.abs(np.diagonal(r))
-    if not diag.min() > max(n, p) * np.finfo(np.float64).eps * diag.max():
-        return None
+    if not diag.min() > _rank_rtol(a.shape) * diag.max():
+        q = r = None
+        return QRFactor(None, None, tall, pseudo_inverse(a).pinv)
     return QRFactor(q, r, tall)
 
 

@@ -267,8 +267,20 @@ class TestMemoryGuard:
     @pytest.mark.parametrize("kind", [REAL, COMPLEX_GENERAL])
     @pytest.mark.parametrize("dims", [(120, 60), (60, 120), (100, 100), (150, 30), (30, 150)])
     def test_bound_covers_the_traced_peak(self, kind, dims):
-        # every check, on the calling thread
         product = CONJ_TRANSPOSE if dims[0] == dims[1] else PSEUDO_INVERSE
+        peak = self._traced_peak(kind, dims, product)
+        assert peak <= harness._trial_bytes(*dims, 8 if kind == REAL else 16)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX_GENERAL])
+    @pytest.mark.parametrize("dims", [(120, 60), (60, 120), (150, 30), (30, 150)])
+    def test_bound_covers_the_traced_peak_of_the_svd_fallback(self, monkeypatch, kind, dims):
+        _plant_rank_deficient_y(monkeypatch)
+        peak = self._traced_peak(kind, dims, PSEUDO_INVERSE)
+        assert peak <= harness._trial_bytes(*dims, 8 if kind == REAL else 16)
+
+    @staticmethod
+    def _traced_peak(kind, dims, product):
+        """tracemalloc peak of one trial of every check, on the calling thread."""
         cfg = ExperimentConfig(
             kind=kind, dims=(dims,), trials=1, checks=CHECK_NAMES, product_kind=product
         )
@@ -278,10 +290,9 @@ class TestMemoryGuard:
             tracemalloc.start()
             try:
                 harness._trial_records(cfg)
-                peak = tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= harness._trial_bytes(*dims, 8 if kind == REAL else 16)
 
 
 class TestCmdSample:
@@ -664,6 +675,38 @@ def _count_calls(monkeypatch, name, calls):
     monkeypatch.setattr(harness, name, counted)
 
 
+def _count_svd_calls(monkeypatch, calls):
+    """Count np.linalg.svd calls, from whichever module makes them."""
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls["svd"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+
+
+def _plant_rank_deficient_y(monkeypatch):
+    """Make every pair harness draws have a numerically rank-deficient Y.
+
+    Two equal columns when Y is tall, two equal rows otherwise: rank
+    min(n, p) - 1, so R of Y's (or Y*'s) QR is numerically singular.
+    """
+    real = harness.sample_pair
+
+    def planted(*args, **kwargs):
+        pair = real(*args, **kwargs)
+        y = pair.y_mat.copy()
+        n, p = y.shape
+        if p < n:
+            y[:, 5] = y[:, 2]
+        else:
+            y[7, :] = y[3, :]
+        return dataclasses.replace(pair, y_mat=y)
+
+    monkeypatch.setattr(harness, "sample_pair", planted)
+
+
 class TestTrialPipeline:
     """verify draws each (dims, trial) pair once and reduces it for every check."""
 
@@ -672,11 +715,10 @@ class TestTrialPipeline:
         calls = Counter()
         _count_calls(monkeypatch, "sample_pair", calls)
         _count_calls(monkeypatch, "spectrum", calls)
-        _count_calls(monkeypatch, "pseudo_inverse", calls)
         _count_calls(monkeypatch, "qr_factor", calls)
         _count_calls(monkeypatch, "_support", calls)
-        monkeypatch.setattr(empirical, "pseudo_inverse", harness.pseudo_inverse)
         monkeypatch.setattr(empirical, "qr_factor", harness.qr_factor)
+        _count_svd_calls(monkeypatch, calls)
         cmd_verify(cfg, out_dir=tmp_path)
         # one pass over dims x trials, plus rotation's two seed-matched streams
         pairs = len(cfg.dims) * cfg.trials
@@ -689,7 +731,7 @@ class TestTrialPipeline:
             "qr_factor": pairs,
             "_support": len(cfg.dims),
         }
-        assert calls["pseudo_inverse"] == 0
+        assert calls["svd"] == 0
 
     def test_rotation_reduces_traces_of_each_pair_drawn_once(self, tmp_path, monkeypatch):
         cfg = _fast_config(dims=((24, 40),), trials=4, checks=("rotation",))
@@ -756,25 +798,21 @@ class TestTrialPipeline:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rank_deficient_y_takes_the_svd_fallback(self, tmp_path, monkeypatch, kind):
-        real = harness.sample_pair
-
-        def planted(*args, **kwargs):
-            pair = real(*args, **kwargs)
-            y = pair.y_mat.copy()
-            y[:, 5] = y[:, 2]  # two equal columns: rank p - 1
-            return dataclasses.replace(pair, y_mat=y)
-
-        monkeypatch.setattr(harness, "sample_pair", planted)
-        calls = Counter()
-        _count_calls(monkeypatch, "pseudo_inverse", calls)
+        _plant_rank_deficient_y(monkeypatch)
         cfg = _fast_config(
             kind=kind,
             tau=0.3 if kind != COMPLEX_GENERAL else 0.3 + 0.2j,
             dims=((24, 12),),
             checks=("penrose", "zero_atoms", "coverage", "mean_eigenvalue"),
         )
+        # one SVD per pair, whichever checks read the pair's Y†
+        for checks in (("coverage",), cfg.checks):
+            calls = Counter()
+            with monkeypatch.context() as m:
+                _count_svd_calls(m, calls)
+                cmd_verify(replace(cfg, checks=checks), out_dir=tmp_path)
+            assert calls["svd"] == cfg.trials
         report, _ = cmd_verify(cfg, out_dir=tmp_path)
-        assert calls["pseudo_inverse"] == cfg.trials
         results = {c.name: c for c in report.checks}
         assert results["penrose"].status == "pass"
         assert results["zero_atoms"].stats["per_dims"][0]["min_zero_count"] >= 24 - 12 + 1
