@@ -26,6 +26,7 @@ from .ensembles import Dims, EnsembleParams, MatrixPair
 from .errors import EmptyInput
 from .matalg import eigenvalues, multiset_max_distance, pseudo_inverse, qr_factor
 from .predict import (
+    _DEGENERATE_AXIS,
     CONJ_TRANSPOSE,
     PRODUCT_KINDS,
     DiscSupport,
@@ -206,24 +207,20 @@ def coverage(
     sample: SpectrumSample,
     support: EllipseSupport | DiscSupport,
     margin: float = 0.0,
-    zero_tol: float | None = None,
 ) -> CoverageReport:
     """Classify every eigenvalue against the margin-dilated support.
 
-    Eigenvalues with |lambda| <= zero_tol count as the zero atom: they
-    are inside exactly when the support predicts an atom at 0.  All
-    others are classified by :func:`support_contains`.  ``max_excess``
-    is the largest normalized overshoot among outliers -- the dilated
-    ellipse quadratic form minus 1, or the radial ratio minus 1 for a
-    disc -- and 0 when nothing lies outside.
+    Eigenvalues at or below :func:`default_zero_tol`, the one zero
+    threshold, are the zero atom: inside exactly when the support has an
+    atom at 0.  All others are classified by :func:`support_contains`.
+    ``max_excess`` is the largest normalized overshoot among outliers --
+    the dilated ellipse quadratic form minus 1, or the radial ratio minus
+    1 for a disc, a collapsed radius or axis floored at 1e-12 -- and 0
+    when nothing lies outside.
     """
-    if zero_tol is None:
-        zero_tol = default_zero_tol(sample.eigs)
-    if zero_tol <= 0.0:
-        raise ValueError(f"zero_tol must be positive, got {zero_tol}")
     eigs = sample.eigs
     n = eigs.size
-    is_zero = np.abs(eigs) <= zero_tol
+    is_zero = np.abs(eigs) <= default_zero_tol(eigs)
 
     inside = np.empty(n, dtype=bool)
     inside[is_zero] = support.zero_atom
@@ -231,11 +228,11 @@ def coverage(
 
     if isinstance(support, DiscSupport):
         dilated = support.radius * (1.0 + margin)
-        excess = np.abs(eigs - support.center) / max(dilated, 1e-300) - 1.0
+        excess = np.abs(eigs - support.center) / max(dilated, _DEGENERATE_AXIS) - 1.0
     else:
         w = (eigs - support.center) * cmath.exp(-1j * support.rotation)
         a = support.semi_major * (1.0 + margin)
-        b = max(support.semi_minor * (1.0 + margin), 1e-12)
+        b = max(support.semi_minor * (1.0 + margin), _DEGENERATE_AXIS)
         excess = (w.real / a) ** 2 + (w.imag / b) ** 2 - 1.0
 
     outliers = ~inside

@@ -59,10 +59,18 @@ KINDS = (REAL, COMPLEX_INDEPENDENT, COMPLEX_GENERAL)
 # |tau| may overshoot 1 by this much before being rejected (rounding slack).
 TAU_UNIT_SLACK = 1e-12
 
+# Largest scale a statistic may carry.  Report scales are products of
+# sigma_x^+-1 and sigma_y^+-1 (X Y* goes as sigma_x * sigma_y, X Y† as
+# sigma_x / sigma_y, Y† as 1 / sigma_y); all lie in [1/S, S] iff
+# max(sigma_x, 1/sigma_x) * max(sigma_y, 1/sigma_y) <= S.  The checks sum
+# squares of them, so S = 2^256 keeps each square within 2^+-512, half of
+# float64's exponent range 2^+-1022, and leaves the other half for sums.
+SIGMA_SCALE_LIMIT = 2.0**256
+
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Entry-distribution parameters; fully determines the ensemble."""
+    """Entry-distribution parameters (the whole ensemble), valid when built."""
 
     sigma_x: float
     sigma_y: float
@@ -75,6 +83,7 @@ class EnsembleParams:
         object.__setattr__(self, "sigma_y", float(self.sigma_y))
         object.__setattr__(self, "tau", complex(self.tau))
         object.__setattr__(self, "split", float(self.split))
+        validate_params(self)
 
 
 @dataclass(frozen=True)
@@ -105,13 +114,22 @@ class MatrixPair:
 
 
 def validate_params(params: EnsembleParams) -> None:
-    """Raise unless ``params`` satisfies all ensemble invariants."""
+    """Raise unless ``params`` satisfies all ensemble invariants.
+
+    The one rule set; :class:`EnsembleParams` runs it when built.
+    """
     if params.kind not in KINDS:
         raise ValueError(f"unknown kind {params.kind!r}; expected one of {KINDS}")
-    if params.sigma_x <= 0.0 or not math.isfinite(params.sigma_x):
-        raise NonPositiveSigma(f"sigma_x must be positive, got {params.sigma_x}")
-    if params.sigma_y <= 0.0 or not math.isfinite(params.sigma_y):
-        raise NonPositiveSigma(f"sigma_y must be positive, got {params.sigma_y}")
+    sx, sy = params.sigma_x, params.sigma_y
+    if sx <= 0.0 or not math.isfinite(sx):
+        raise NonPositiveSigma(f"sigma_x must be positive, got {sx}")
+    if sy <= 0.0 or not math.isfinite(sy):
+        raise NonPositiveSigma(f"sigma_y must be positive, got {sy}")
+    if not max(sx, 1.0 / sx) * max(sy, 1.0 / sy) <= SIGMA_SCALE_LIMIT:
+        raise ValueError(
+            f"sigma_x * sigma_y and sigma_x / sigma_y must lie within [2^-256, 2^256], so "
+            f"that their squares summed stay in float64; got sigma_x = {sx}, sigma_y = {sy}"
+        )
     if not abs(params.tau) <= 1.0 + TAU_UNIT_SLACK:  # also rejects NaN
         raise TauOutOfUnitDisc(f"|tau| = {abs(params.tau)} is not at most 1")
     if params.kind in (REAL, COMPLEX_INDEPENDENT) and params.tau.imag != 0.0:
@@ -129,7 +147,6 @@ def mixing_coefficients(params: EnsembleParams) -> tuple[complex, float]:
     b = sqrt(1 - |tau|^2) give E[x * conj(y)] = tau * sigma_x * sigma_y
     * E|u|^2 and E|y|^2 = sigma_y^2 * E|u|^2.
     """
-    validate_params(params)
     a = params.tau.conjugate()
     b = math.sqrt(max(0.0, 1.0 - abs(params.tau) ** 2))
     return a, b
@@ -167,7 +184,6 @@ def sample_pair(params: EnsembleParams, dims: Dims, seed: int) -> MatrixPair:
     so the draws are those of that formula bit for bit (but for the sign
     of a zero, should a standard normal come out exactly 0).
     """
-    validate_params(params)
     a, b = mixing_coefficients(params)
     n, p = dims.n, dims.p
     shape = (n, p)
@@ -200,7 +216,6 @@ def entry_covariance(params: EnsembleParams) -> np.ndarray:
     Computed analytically from the whitening construction, not from
     samples; used to compare kinds at matched parameters.
     """
-    validate_params(params)
     sx2 = params.sigma_x**2
     sy2 = params.sigma_y**2
     c = params.sigma_x * params.sigma_y

@@ -43,7 +43,6 @@ from .ensembles import (
     EnsembleParams,
     MatrixPair,
     sample_pair,
-    validate_params,
 )
 from .errors import AlphaOneUnsupported, ConfigError, PairspecError
 from .empirical import (
@@ -200,7 +199,6 @@ class ExperimentConfig:
     trials: int = 20
     base_seed: int = 20260822
     margin: float = 0.1
-    zero_tol: float | None = None  # None = automatic policy per spectrum
     checks: tuple[str, ...] = CHECK_NAMES
     strict: bool = False
     threads: int = 0  # selects nothing: every trial runs on the calling thread
@@ -214,13 +212,8 @@ class ExperimentConfig:
         validate_config(self)
 
     def ensemble_params(self, tau: complex | None = None) -> EnsembleParams:
-        return EnsembleParams(
-            sigma_x=self.sigma_x,
-            sigma_y=self.sigma_y,
-            tau=self.tau if tau is None else tau,
-            kind=self.kind,
-            split=self.split,
-        )
+        tau = self.tau if tau is None else tau
+        return EnsembleParams(self.sigma_x, self.sigma_y, tau, self.kind, self.split)
 
     def to_json_dict(self) -> dict[str, Any]:
         d = asdict(self)
@@ -263,7 +256,6 @@ _FIELD_PARSERS: dict[str, Callable[[Any, str], Any]] = {
     "trials": _integer,
     "base_seed": _integer,
     "margin": _number,
-    "zero_tol": lambda v, name: None if v is None else _number(v, name),
     "checks": _tuple_of(_of_type(str)),
     "strict": _of_type(bool),
     "threads": _integer,
@@ -313,16 +305,16 @@ def _trial_bytes(n: int, p: int, itemsize: int) -> int:
 def validate_config(config: ExperimentConfig) -> None:
     """Raise ConfigError unless the config's values are in range and agree.
 
-    Field types are checked before this runs, by the constructor.  Every
-    sweep cell (sweep_taus x sweep_alphas) is checked here too, so a valid
-    config is valid for every command.  Each dims entry and sweep cell
+    Field types are checked before this runs, by the constructor, and the
+    ensemble parameters by building them for ``tau`` and each sweep tau.
+    Every sweep cell (sweep_taus x sweep_alphas) is checked here too, so a
+    valid config is valid for every command.  Each dims entry and sweep cell
     must fit one trial's working set, :func:`_trial_bytes`, in physical
     memory.
     """
     try:
-        validate_params(config.ensemble_params())
-        for tau in config.sweep_taus:
-            validate_params(config.ensemble_params(tau))
+        for tau in (config.tau, *config.sweep_taus):
+            config.ensemble_params(tau)
     except (PairspecError, ValueError) as exc:
         raise ConfigError(f"bad ensemble parameters: {exc}") from exc
     if config.product_kind not in PRODUCT_KINDS:
@@ -365,8 +357,6 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"base_seed must fit in 64 bits, got {config.base_seed}")
     if config.margin < 0.0:
         raise ConfigError(f"margin must be >= 0, got {config.margin}")
-    if config.zero_tol is not None and config.zero_tol <= 0.0:
-        raise ConfigError(f"zero_tol must be positive, or null, got {config.zero_tol}")
     bad = [c for c in config.checks if c not in CHECK_NAMES]
     if bad:
         raise ConfigError(f"unknown checks {bad}; known: {list(CHECK_NAMES)}")
@@ -491,13 +481,13 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
             if mean:
                 rec["mean_eigenvalue"].append(trace)
             if sample is not None:
-                rec["coverage"].append(coverage(sample, support, config.margin, config.zero_tol))
+                rec["coverage"].append(coverage(sample, support, config.margin))
             if penrose:
                 rec["penrose"].append(max(penrose_residuals(y, pinv).values()))
             if zeros:  # the eigensolver finds the kernel zeros; none are padded
                 eigs = eigenvalues(x @ pinv)
-                ztol = config.zero_tol or default_zero_tol(eigs)
-                rec["zero_atoms"].append(int(np.count_nonzero(np.abs(eigs) <= ztol)))
+                zero = np.abs(eigs) <= default_zero_tol(eigs)
+                rec["zero_atoms"].append(int(np.count_nonzero(zero)))
                 eigs = None
             pinv = None
     if "rotation" in on:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleParams, validate_params
+from .ensembles import EnsembleParams
 from .errors import AlphaOneUnsupported, LambdaZero
 
 __all__ = [
@@ -57,9 +57,9 @@ CONJ_TRANSPOSE = "conj_transpose"
 PSEUDO_INVERSE = "pseudo_inverse"
 PRODUCT_KINDS = (CONJ_TRANSPOSE, PSEUDO_INVERSE)
 
-# Degenerate geometry floors: a collapsed ellipse axis is tested as a
-# strip of this half-thickness, and |lambda| at or below this counts as
-# the zero atom in membership tests.
+# Degenerate geometry floors: a collapsed ellipse axis is a strip of
+# this half-thickness (coverage's excess floors a disc radius at it too),
+# and |lambda| at or below this is the zero atom in membership tests.
 _DEGENERATE_AXIS = 1e-12
 _ZERO_ATOM_TOL = 1e-12
 
@@ -97,7 +97,6 @@ def ellipse_support(params: EnsembleParams, alpha: float) -> EllipseSupport:
     For |tau| = 1 the ellipse degenerates to a segment (semi_minor = 0);
     for tau = 0 it is the centered disc of radius sigma_x*sigma_y*sqrt(alpha).
     """
-    validate_params(params)
     alpha = _check_alpha(alpha)
     scale = params.sigma_x * params.sigma_y
     t2 = min(abs(params.tau) ** 2, 1.0)
@@ -117,7 +116,6 @@ def disc_support(params: EnsembleParams, alpha: float) -> DiscSupport:
     Defined only away from the square aspect: at alpha = 1 the radius
     formula blows up and no prediction exists, so the construction fails.
     """
-    validate_params(params)
     alpha = _check_alpha(alpha)
     if alpha == 1.0:
         raise AlphaOneUnsupported(
@@ -177,7 +175,6 @@ def tau_lambda_sq(params: EnsembleParams, lam: complex) -> float:
     always lies in [0, 1], reaching 1 exactly in the fully correlated
     degenerate direction.
     """
-    validate_params(params)
     lam = complex(lam)
     if lam == 0:
         raise LambdaZero("tau_lambda_sq is undefined at lambda = 0")
@@ -217,7 +214,6 @@ def mean_eigenvalue_prediction(
     trace(Y Y†) = min(N, P) almost surely,
     E[trace(X Y†)]/N = tau * (sigma_x/sigma_y) * min(1, alpha).
     """
-    validate_params(params)
     alpha = _check_alpha(alpha)
     if product_kind == CONJ_TRANSPOSE:
         return alpha * params.tau * params.sigma_x * params.sigma_y

@@ -324,7 +324,7 @@ class TestDefaultZeroTol:
 class TestCoverage:
     def test_all_at_center(self):
         d = disc_support(EnsembleParams(1.0, 1.0, 0.5), alpha=2.0)
-        rep = coverage(_synthetic([d.center] * 8), d, margin=0.0, zero_tol=1e-12)
+        rep = coverage(_synthetic([d.center] * 8), d, margin=0.0)
         assert rep.inside_fraction == 1.0
         assert rep.outlier_count == 0
         assert rep.max_excess == 0.0
@@ -337,31 +337,32 @@ class TestCoverage:
 
     def test_zero_eigenvalues_follow_the_atom_flag(self):
         d_no_atom = disc_support(UNIT, alpha=2.0)  # contains 0 but no atom
-        rep = coverage(_synthetic([0.0, 0.5]), d_no_atom, zero_tol=1e-10)
+        rep = coverage(_synthetic([0.0, 0.5]), d_no_atom)
         # the exact zero is classified by the atom flag, not the region
         assert rep.zero_count == 1
         assert rep.outlier_count == 1
         d_atom = disc_support(EnsembleParams(1.0, 1.0, 0.9), alpha=0.5)
-        rep = coverage(_synthetic([0.0, d_atom.center]), d_atom, zero_tol=1e-10)
+        rep = coverage(_synthetic([0.0, d_atom.center]), d_atom)
         assert rep.outlier_count == 0
 
     def test_inside_fraction_accounts_outliers(self):
         d = disc_support(EnsembleParams(2.0, 1.0, 0.0), alpha=2.0)  # radius 2
-        rep = coverage(
-            _synthetic([1.5, 1.0, 10.0, 3.0 + 4.0j]), d, margin=0.0, zero_tol=1e-12
-        )
+        rep = coverage(_synthetic([1.5, 1.0, 10.0, 3.0 + 4.0j]), d, margin=0.0)
         assert rep.outlier_count == 2
         assert rep.inside_fraction == pytest.approx(0.5)
 
     def test_max_excess_is_radial_ratio_minus_one(self):
         d = disc_support(EnsembleParams(1.0, 1.0, 0.0), alpha=2.0)  # radius 1
-        rep = coverage(_synthetic([3.0 + 0.0j]), d, margin=0.0, zero_tol=1e-12)
+        rep = coverage(_synthetic([3.0 + 0.0j]), d, margin=0.0)
         assert rep.max_excess == pytest.approx(2.0)
 
-    def test_nonpositive_zero_tol_rejected(self):
-        d = disc_support(UNIT, alpha=2.0)
-        with pytest.raises(ValueError):
-            coverage(_synthetic([1.0]), d, zero_tol=0.0)
+    def test_collapsed_disc_keeps_max_excess_finite(self):
+        # |tau| = 1: radius 0, floored at 1e-12 for the excess only
+        d = disc_support(EnsembleParams(2.0**100, 1.0, 1.0), alpha=2.0)
+        assert d.radius == 0.0 and d.center == 2.0**100
+        rep = coverage(_synthetic([d.center, d.center + 2.0**80]), d)
+        assert rep.outlier_count == 1
+        assert rep.max_excess == pytest.approx(2.0**80 / 1e-12)
 
 
 class TestMeanEigenvalue:

@@ -23,6 +23,7 @@ from pairspec import (
     sample_pair,
     validate_params,
 )
+from pairspec.ensembles import TAU_UNIT_SLACK
 
 
 class TestValidateParams:
@@ -68,6 +69,45 @@ class TestValidateParams:
             validate_params(
                 EnsembleParams(1.0, 1.0, 0.1, kind=COMPLEX_INDEPENDENT, split=split)
             )
+
+
+class TestValidWhenBuilt:
+    """Construction alone refuses what validate_params refuses."""
+
+    @pytest.mark.parametrize(
+        "args, kwargs, error",
+        [
+            ((0.0, 1.0, 0.0), {}, NonPositiveSigma),
+            ((1.0, -1.0, 0.0), {}, NonPositiveSigma),
+            ((math.inf, 1.0, 0.0), {}, NonPositiveSigma),
+            ((1.0, math.nan, 0.0), {}, NonPositiveSigma),
+            ((1.0, 1.0, 1.0 + 2 * TAU_UNIT_SLACK), {}, TauOutOfUnitDisc),
+            ((1.0, 1.0, 0.3 + 0.4j), {"kind": REAL}, ComplexTauInRealKind),
+            ((1.0, 1.0, 0.3 + 0.4j), {"kind": COMPLEX_INDEPENDENT}, ComplexTauInRealKind),
+            ((1.0, 1.0, 0.0), {"kind": "quaternion"}, ValueError),
+            ((1.0, 1.0, 0.0), {"kind": COMPLEX_INDEPENDENT, "split": 0.0}, ValueError),
+            ((1.0, 1.0, 0.0), {"kind": COMPLEX_INDEPENDENT, "split": 1.0}, ValueError),
+        ],
+    )
+    def test_invalid_params_refused_at_construction(self, args, kwargs, error):
+        with pytest.raises(error):
+            EnsembleParams(*args, **kwargs)
+
+    @pytest.mark.parametrize(
+        "sx, sy",
+        [
+            (2.0**256, 1.0),
+            (1.0, 2.0**-256),
+            (2.0**128, 2.0**128),  # sigma_x * sigma_y at the edge
+            (2.0**-128, 2.0**128),  # sigma_x / sigma_y at the edge
+            (2.0**-100, 2.0**-156),
+        ],
+    )
+    def test_sigma_scale_edge_accepted_and_just_past_refused(self, sx, sy):
+        EnsembleParams(sx, sy, 0.5)
+        past = sx * (1.0 + 2**-52) if sx >= 1.0 else sx / (1.0 + 2**-52)
+        with pytest.raises(ValueError, match=r"2\^256"):
+            EnsembleParams(past, sy, 0.5)
 
 
 class TestDims:

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from collections import Counter
@@ -133,7 +134,6 @@ class TestExperimentConfig:
             trials=7,
             base_seed=2**60 + 3,
             margin=0.05,
-            zero_tol=1e-9,
             checks=("penrose", "rotation"),
             strict=True,
             threads=2,
@@ -188,7 +188,7 @@ class TestValidateConfig:
             {"dims": ((0, 5),)},
             {"dims": ((200_000, 200_000),)},  # past physical memory
             {"margin": -0.1},
-            {"zero_tol": 0.0},
+            {"sigma_x": 2.0**257},  # past the sigma scale bound, 2^256
             {"checks": ("penrose", "nonsense")},
             {"checks": ()},
             {"checks": ("penrose", "coverage", "penrose")},
@@ -198,8 +198,8 @@ class TestValidateConfig:
             {"tau": math.nan},
             {"margin": math.inf},
             {"margin": math.nan},
-            {"zero_tol": math.inf},
-            {"zero_tol": math.nan},
+            {"sigma_y": 2.0**-257},
+            {"sigma_x": 2.0**200, "sigma_y": 2.0**100},
             {"threads": -2},
             {"base_seed": 2**64},
             {"sweep_alphas": (math.inf,)},
@@ -433,6 +433,54 @@ class TestCmdVerify:
         assert strict.exit_code == 1
 
 
+_SIGMA_EDGE = 2.0**256
+_NUDGE = 1.0 + 2**-52
+# Sigmas up to, at and just past both edges of the accepted range.
+_SIGMAS = st.floats(-260.0, 260.0).map(lambda e: 2.0**e) | st.builds(
+    lambda s, nudge: s * nudge,
+    st.sampled_from([1.0 / _SIGMA_EDGE, 2.0**-128, 1.0, 2.0**128, _SIGMA_EDGE]),
+    st.sampled_from([1.0, _NUDGE, 1.0 / _NUDGE]),
+)
+_TINY_DIMS = st.tuples(st.integers(1, 4), st.integers(1, 4))
+
+
+class TestReportsAreFinite:
+    """Every config either fails to build or runs to a finite report."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sigma_x=_SIGMAS,
+        sigma_y=_SIGMAS,
+        tau=st.sampled_from([0.0, 0.5, 1.0, -1.0, 0.999999]),
+        kind=st.sampled_from([REAL, COMPLEX_GENERAL]),
+        product_kind=st.sampled_from(PRODUCT_KINDS),
+        dims=st.lists(_TINY_DIMS, min_size=1, max_size=2),
+        trials=st.integers(1, 2),
+    )
+    def test_verify_report_parses_with_every_status_known(self, **fields):
+        try:
+            cfg = ExperimentConfig(base_seed=3, threads=1, **fields)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as out:
+            _, path = cmd_verify(cfg, out_dir=out)
+            report = json.loads(path.read_text(), parse_constant=_no_constant)
+        assert {c["status"] for c in report["checks"]} <= {"pass", "fail", "advisory"}
+
+    @pytest.mark.parametrize(
+        "sigmas", [(2.0**128, 2.0**128), (2.0**128, 2.0**-128), (2.0**-128, 2.0**-128)]
+    )
+    def test_report_at_the_sigma_bound_is_finite(self, tmp_path, sigmas):
+        # exactly at the bound the squared scales, summed, still fit in float64
+        cfg_path = tmp_path / "cfg.json"
+        fields = {"sigma_x": sigmas[0], "sigma_y": sigmas[1], "tau": 0.5, "kind": "real"}
+        cfg_path.write_text(json.dumps({**fields, "dims": [[6, 3], [3, 6]], "trials": 3}))
+        main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_no_constant)
+        exact = {"penrose", "weinstein_aronszajn", "zero_atoms", "disc_equivalence"}
+        assert {c["status"] for c in report["checks"] if c["name"] in exact} == {"pass"}
+
+
 class TestCmdSweep:
     def test_grid_of_reports(self, tmp_path):
         cfg = _fast_config(
@@ -542,6 +590,11 @@ class TestCli:
             # sweep-cell rules hold for every command
             {"kind": "complex_independent", "dims": [[20, 40]], "sweep_taus": [0.0, [0.3, 0.3]]},
             {"dims": [[40, 80]], "sweep_alphas": [0.5, 1.01]},
+            # zero_tol is no longer a field: default_zero_tol is the one threshold
+            {"zero_tol": 1e-9},
+            # past the sigma scale bound, 2^256
+            {"sigma_x": 2.0**128 * (1.0 + 2**-52), "sigma_y": 2.0**128},
+            {"sigma_x": 2.0**-256 / (1.0 + 2**-52)},
         ],
     )
     def test_mistyped_field_exits_two(self, tmp_path, monkeypatch, capsys, fields):
