@@ -26,12 +26,11 @@ from .ensembles import Dims, EnsembleParams, MatrixPair
 from .errors import EmptyInput
 from .matalg import eigenvalues, multiset_max_distance, pseudo_inverse, qr_factor
 from .predict import (
-    _DEGENERATE_AXIS,
     CONJ_TRANSPOSE,
-    PRODUCT_KINDS,
     DiscSupport,
     EllipseSupport,
-    support_contains,
+    _check_product_kind,
+    normalised_radius,
 )
 
 __all__ = [
@@ -70,15 +69,8 @@ class CoverageReport:
 
     inside_fraction: float
     outlier_count: int
-    max_excess: float  # normalized overshoot past the dilated boundary
+    max_excess: float  # largest outlier's normalised radius minus 1, else 0
     zero_count: int
-
-
-def _check_product_kind(product_kind: str) -> None:
-    if product_kind not in PRODUCT_KINDS:
-        raise ValueError(
-            f"unknown product_kind {product_kind!r}; expected one of {PRODUCT_KINDS}"
-        )
 
 
 def spectrum(
@@ -210,38 +202,22 @@ def coverage(
 ) -> CoverageReport:
     """Classify every eigenvalue against the margin-dilated support.
 
-    Eigenvalues at or below :func:`default_zero_tol`, the one zero
-    threshold, are the zero atom: inside exactly when the support has an
-    atom at 0.  All others are classified by :func:`support_contains`.
-    ``max_excess`` is the largest normalized overshoot among outliers --
-    the dilated ellipse quadratic form minus 1, or the radial ratio minus
-    1 for a disc, a collapsed radius or axis floored at 1e-12 -- and 0
-    when nothing lies outside.
+    Eigenvalues at or below :func:`default_zero_tol`, the one zero rule,
+    are the zero atom: inside exactly when the support has one.  Any other
+    eigenvalue is an outlier when its excess, ``normalised_radius - 1``,
+    is positive; ``max_excess`` is the largest outlier excess, or 0.  The
+    report is unchanged when the eigenvalues and the support scale by the
+    same power of two.
     """
     eigs = sample.eigs
-    n = eigs.size
     is_zero = np.abs(eigs) <= default_zero_tol(eigs)
-
-    inside = np.empty(n, dtype=bool)
-    inside[is_zero] = support.zero_atom
-    inside[~is_zero] = support_contains(support, eigs[~is_zero], margin)
-
-    if isinstance(support, DiscSupport):
-        dilated = support.radius * (1.0 + margin)
-        excess = np.abs(eigs - support.center) / max(dilated, _DEGENERATE_AXIS) - 1.0
-    else:
-        w = (eigs - support.center) * cmath.exp(-1j * support.rotation)
-        a = support.semi_major * (1.0 + margin)
-        b = max(support.semi_minor * (1.0 + margin), _DEGENERATE_AXIS)
-        excess = (w.real / a) ** 2 + (w.imag / b) ** 2 - 1.0
-
-    outliers = ~inside
-    max_excess = float(np.max(excess[outliers], initial=0.0))
+    excess = normalised_radius(support, eigs, margin) - 1.0
+    outliers = np.where(is_zero, not support.zero_atom, excess > 0.0)
     outlier_count = int(outliers.sum())
     return CoverageReport(
-        inside_fraction=1.0 - outlier_count / n,
+        inside_fraction=1.0 - outlier_count / eigs.size,
         outlier_count=outlier_count,
-        max_excess=max(max_excess, 0.0),
+        max_excess=float(np.max(excess[outliers], initial=0.0)),
         zero_count=int(is_zero.sum()),
     )
 

@@ -592,11 +592,12 @@ def _check_zero_atoms(config: ExperimentConfig, records: list[list]) -> CheckRes
 def _check_coverage(config: ExperimentConfig, records: list[list]) -> CheckResult:
     """Eigenvalue clouds fill the predicted margin-dilated support.
 
-    Support convergence at finite N is conjectural, so a shortfall below
-    the 99.5% inside-fraction floor is advisory unless strict.  A support
-    that cannot even be constructed (square-aspect pseudo-inverse) is a
-    configuration failure and fatal; :func:`_trial_records` hands it over
-    in place of the dims entry's reports.
+    :func:`coverage` classifies in the support's own units, so scaling
+    sigma_x by a power of two moves no figure.  Support convergence at
+    finite N is conjectural: an inside fraction below 99.5% is advisory
+    unless strict.  A support that cannot be built (pseudo-inverse at
+    alpha = 1) is a configuration failure and fatal; :func:`_trial_records`
+    hands it over in place of the dims entry's reports.
     """
     per_dims: list[dict[str, Any]] = []
     fatal = False
@@ -654,7 +655,7 @@ def _check_disc_equivalence(
         rho = rng.uniform(0.0, 1.6)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         lam = support.center + support.radius * rho * cmath.exp(1j * phi)
-        if abs(lam) <= 1e-12:
+        if lam == 0:  # the correlation route is undefined there
             skipped_zero += 1
             continue
         d2 = abs(lam - support.center) ** 2

@@ -16,9 +16,12 @@ with beta = max(alpha, 1/alpha), again plus a zero atom when alpha < 1.
 The square-aspect case alpha = 1 has no disc prediction (the radius
 formula degenerates) and is rejected outright.
 
-Supports are treated as closed sets: membership tests use <=.  Boundary
-points are measure-zero, so nothing downstream should hinge on the
-convention, but it is fixed here once.
+Every support is classified in its own units: :func:`normalised_radius`
+is lambda's distance from the centre in units of the dilated boundary,
+which sits at 1, and membership is a normalised radius <= 1 (supports
+are closed; boundary points are measure-zero).  The zero atom adds
+exactly lambda == 0; telling numerical zeros from the bulk is left to
+``empirical.default_zero_tol``, the one zero rule.
 
 An independent route to the disc is also provided: the per-eigenvalue
 squared correlation ``tau_lambda_sq`` characterises membership via
@@ -45,6 +48,7 @@ __all__ = [
     "DiscSupport",
     "ellipse_support",
     "disc_support",
+    "normalised_radius",
     "support_contains",
     "zero_in_ellipse",
     "tau_lambda_sq",
@@ -57,11 +61,17 @@ CONJ_TRANSPOSE = "conj_transpose"
 PSEUDO_INVERSE = "pseudo_inverse"
 PRODUCT_KINDS = (CONJ_TRANSPOSE, PSEUDO_INVERSE)
 
-# Degenerate geometry floors: a collapsed ellipse axis is a strip of
-# this half-thickness (coverage's excess floors a disc radius at it too),
-# and |lambda| at or below this is the zero atom in membership tests.
-_DEGENERATE_AXIS = 1e-12
-_ZERO_ATOM_TOL = 1e-12
+# A collapsed disc radius or ellipse minor axis (|tau| = 1) is floored at
+# this fraction of the support's own extent -- semi_major for an ellipse,
+# max(radius, |center|) for a disc -- so the floor scales with sigma.
+_COLLAPSE_FLOOR = 1e-12
+
+
+def _check_product_kind(product_kind: str) -> None:
+    if product_kind not in PRODUCT_KINDS:
+        raise ValueError(
+            f"unknown product_kind {product_kind!r}; expected one of {PRODUCT_KINDS}"
+        )
 
 
 def _check_alpha(alpha: float) -> float:
@@ -131,6 +141,32 @@ def disc_support(params: EnsembleParams, alpha: float) -> DiscSupport:
     )
 
 
+def normalised_radius(
+    support: EllipseSupport | DiscSupport,
+    lam: complex | np.ndarray,
+    margin: float = 0.0,
+) -> np.ndarray:
+    """Distance of lambda from the centre, the dilated boundary sitting at 1.
+
+    |lambda - center| / (radius * (1 + margin)) for a disc, the square
+    root of the quadratic form with semi-axes times (1 + margin) for an
+    ellipse.  A collapsed radius or minor axis is floored at 1e-12 of
+    the support's own extent, so scaling lambda and the support by the
+    same factor leaves the result unchanged.  The zero atom plays no part.
+    """
+    if margin < 0.0:
+        raise ValueError(f"margin must be non-negative, got {margin}")
+    z = np.asarray(lam, dtype=np.complex128)
+    grow = 1.0 + margin
+    if isinstance(support, DiscSupport):
+        radius = max(support.radius, _COLLAPSE_FLOOR * abs(support.center))
+        return np.abs(z - support.center) / (radius * grow)
+    w = (z - support.center) * cmath.exp(-1j * support.rotation)
+    a = support.semi_major * grow
+    b = max(support.semi_minor * grow, _COLLAPSE_FLOOR * a)
+    return np.sqrt((w.real / a) ** 2 + (w.imag / b) ** 2)
+
+
 def support_contains(
     support: EllipseSupport | DiscSupport,
     lam: complex | np.ndarray,
@@ -138,28 +174,16 @@ def support_contains(
 ):
     """Closed membership test against the margin-dilated support.
 
-    ``margin`` scales the ellipse semi-axes / disc radius by (1 + margin).
-    Values of |lambda| <= 1e-12 are members whenever the support carries a
-    zero atom, independent of the region test.  Accepts a scalar or an
-    array of eigenvalues; returns a matching bool or bool array.
+    Membership is ``normalised_radius(support, lam, margin) <= 1``; when
+    the support carries a zero atom, lambda == 0 exactly is a member too.
+    Accepts a scalar or an array of eigenvalues; returns a matching bool
+    or bool array.
     """
-    if margin < 0.0:
-        raise ValueError(f"margin must be non-negative, got {margin}")
     z = np.asarray(lam, dtype=np.complex128)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-
-    if isinstance(support, DiscSupport):
-        inside = np.abs(z - support.center) <= support.radius * (1.0 + margin)
-    else:
-        w = (z - support.center) * cmath.exp(-1j * support.rotation)
-        a = support.semi_major * (1.0 + margin)
-        b = max(support.semi_minor * (1.0 + margin), _DEGENERATE_AXIS)
-        inside = (w.real / a) ** 2 + (w.imag / b) ** 2 <= 1.0
-
+    inside = normalised_radius(support, z, margin) <= 1.0
     if support.zero_atom:
-        inside = inside | (np.abs(z) <= _ZERO_ATOM_TOL)
-    return bool(inside[0]) if scalar else inside
+        inside = inside | (z == 0)
+    return bool(inside) if z.ndim == 0 else inside
 
 
 def zero_in_ellipse(tau: complex, alpha: float) -> bool:
@@ -215,13 +239,10 @@ def mean_eigenvalue_prediction(
     E[trace(X Y†)]/N = tau * (sigma_x/sigma_y) * min(1, alpha).
     """
     alpha = _check_alpha(alpha)
+    _check_product_kind(product_kind)
     if product_kind == CONJ_TRANSPOSE:
         return alpha * params.tau * params.sigma_x * params.sigma_y
-    if product_kind == PSEUDO_INVERSE:
-        return params.tau * (params.sigma_x / params.sigma_y) * min(1.0, alpha)
-    raise ValueError(
-        f"unknown product_kind {product_kind!r}; expected one of {PRODUCT_KINDS}"
-    )
+    return params.tau * (params.sigma_x / params.sigma_y) * min(1.0, alpha)
 
 
 def boundary_points(

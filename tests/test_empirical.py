@@ -1,6 +1,7 @@
 """Spectra, the product-ordering identity, coverage, and aggregation."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from pairspec import (
     default_zero_tol,
     disc_support,
     eigenvalues,
+    ellipse_support,
     grand_mean,
     mean_eigenvalue,
     multiset_max_distance,
@@ -356,13 +358,80 @@ class TestCoverage:
         rep = coverage(_synthetic([3.0 + 0.0j]), d, margin=0.0)
         assert rep.max_excess == pytest.approx(2.0)
 
+    def test_ellipse_max_excess_is_normalised_radius_minus_one(self):
+        e = ellipse_support(UNIT, alpha=1.0)  # the unit circle
+        rep = coverage(_synthetic([3.0 + 0.0j, 0.5j]), e, margin=0.0)
+        assert rep.outlier_count == 1
+        assert rep.max_excess == pytest.approx(2.0)
+
     def test_collapsed_disc_keeps_max_excess_finite(self):
-        # |tau| = 1: radius 0, floored at 1e-12 for the excess only
+        # |tau| = 1: radius 0, floored at 1e-12 of |center| for membership
+        # and excess alike
         d = disc_support(EnsembleParams(2.0**100, 1.0, 1.0), alpha=2.0)
         assert d.radius == 0.0 and d.center == 2.0**100
         rep = coverage(_synthetic([d.center, d.center + 2.0**80]), d)
         assert rep.outlier_count == 1
-        assert rep.max_excess == pytest.approx(2.0**80 / 1e-12)
+        assert rep.max_excess == pytest.approx(2.0**-20 / 1e-12 - 1.0)
+
+
+def _support_of(product_kind, params, alpha):
+    if product_kind == CONJ_TRANSPOSE:
+        return ellipse_support(params, alpha)
+    return disc_support(params, alpha)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_scale_sample(product_kind, tau, dims):
+    params = EnsembleParams(1.0, 1.0, tau, kind=COMPLEX_GENERAL)
+    return spectrum(sample_pair(params, Dims(*dims), seed=5), product_kind)
+
+
+class TestCoverageIsScaleFree:
+    """coverage classifies in the support's own units: sigma drops out."""
+
+    @settings(max_examples=128, deadline=None)
+    @given(
+        k=st.integers(-200, 200),
+        product_kind=st.sampled_from(PRODUCT_KINDS),
+        tau=st.sampled_from([0.0, 0.5, 1.0, 0.6j]),
+        dims=st.sampled_from([(40, 20), (20, 40)]),
+    )
+    def test_power_of_two_scale_leaves_the_report_unchanged(
+        self, k, product_kind, tau, dims
+    ):
+        # eigenvalues and sigma_x scale by the same power of two, exactly
+        sample = _unit_scale_sample(product_kind, tau, dims)
+        alpha = dims[1] / dims[0]
+        base = coverage(
+            sample, _support_of(product_kind, sample.params, alpha), margin=0.1
+        )
+        params = EnsembleParams(2.0**k, 1.0, tau, kind=COMPLEX_GENERAL)
+        scaled = dataclasses.replace(sample, eigs=sample.eigs * 2.0**k, params=params)
+        got = coverage(scaled, _support_of(product_kind, params, alpha), margin=0.1)
+        assert got == base
+
+    @pytest.mark.parametrize("sigma", [1.0, 1e-4, 1e-8, 1e-30])
+    def test_shrunk_support_fails_at_every_scale(self, sigma):
+        params = EnsembleParams(sigma, sigma, 0.0, kind=COMPLEX_GENERAL)
+        s = spectrum(sample_pair(params, Dims(200, 100), seed=3), CONJ_TRANSPOSE)
+        e = ellipse_support(params, alpha=0.5)
+        shrunk = dataclasses.replace(
+            e, semi_major=e.semi_major / 10.0, semi_minor=e.semi_minor / 10.0
+        )
+        rep = coverage(s, shrunk, margin=0.1)
+        # the 100 kernel zeros are the atom; nearly all of the bulk is out
+        assert rep.zero_count == 100
+        assert rep.inside_fraction == pytest.approx(0.51, abs=0.02)
+
+    def test_fully_correlated_pair_is_inside_its_collapsed_disc(self):
+        # |tau| = 1, real: X = Y, so X Y-dagger has eigenvalues 1 up to
+        # rounding, at the centre of a disc of radius 0
+        params = EnsembleParams(1.0, 1.0, 1.0, kind=REAL)
+        s = spectrum(sample_pair(params, Dims(40, 20), seed=11), PSEUDO_INVERSE)
+        rep = coverage(s, disc_support(params, alpha=0.5), margin=0.1)
+        assert rep.zero_count == 20
+        assert rep.inside_fraction == 1.0
+        assert rep.max_excess == 0.0
 
 
 class TestMeanEigenvalue:

@@ -472,13 +472,27 @@ class TestReportsAreFinite:
     )
     def test_report_at_the_sigma_bound_is_finite(self, tmp_path, sigmas):
         # exactly at the bound the squared scales, summed, still fit in float64
-        cfg_path = tmp_path / "cfg.json"
-        fields = {"sigma_x": sigmas[0], "sigma_y": sigmas[1], "tau": 0.5, "kind": "real"}
-        cfg_path.write_text(json.dumps({**fields, "dims": [[6, 3], [3, 6]], "trials": 3}))
-        main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)])
-        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_no_constant)
+        def verify(sigma_x, sigma_y, out):
+            out.mkdir()
+            fields = {"sigma_x": sigma_x, "sigma_y": sigma_y, "tau": 0.5, "kind": "real"}
+            cfg_path = out / "cfg.json"
+            cfg_path.write_text(json.dumps({**fields, "dims": [[6, 3], [3, 6]], "trials": 3}))
+            main(["verify", "--config", str(cfg_path), "--out", str(out)])
+            text = (out / "report.json").read_text()
+            return {c["name"]: c for c in json.loads(text, parse_constant=_no_constant)["checks"]}
+
+        checks = verify(*sigmas, tmp_path / "bound")
         exact = {"penrose", "weinstein_aronszajn", "zero_atoms", "disc_equivalence"}
-        assert {c["status"] for c in report["checks"] if c["name"] in exact} == {"pass"}
+        assert {checks[name]["status"] for name in exact} == {"pass"}
+        # the spectra are powers of two times the unit-scale ones, and
+        # coverage classifies in the support's own units
+        unit = verify(1.0, 1.0, tmp_path / "unit")
+
+        def classified(check):
+            rows = check["stats"]["per_dims"]
+            return check["status"], [(r["inside_fraction"], r["zero_count_total"]) for r in rows]
+
+        assert classified(checks["coverage"]) == classified(unit["coverage"])
 
 
 class TestCmdSweep:

@@ -19,6 +19,7 @@ from pairspec import (
     ellipse_support,
     in_support_via_tau,
     mean_eigenvalue_prediction,
+    normalised_radius,
     support_contains,
     tau_lambda_sq,
     zero_in_ellipse,
@@ -158,6 +159,15 @@ class TestSupportContains:
         assert support_contains(e, complex(e.center) + 1e-13j)
         assert not support_contains(e, complex(e.center) + 1e-3j)
 
+    def test_zero_atom_adds_exactly_zero(self):
+        d = disc_support(EnsembleParams(1.0, 1.0, 0.8), alpha=0.5)
+        assert abs(d.center) > d.radius  # the disc excludes the origin
+        assert support_contains(d, 0.0)
+        # a tiny non-zero value is classified by the region, not the atom
+        assert not support_contains(d, 1e-300)
+        got = support_contains(d, np.array([0.0, 1e-300, -1e-300j]))
+        assert got.tolist() == [True, False, False]
+
     def test_vectorized_input(self):
         d = disc_support(EnsembleParams(1.0, 1.0, 0.0), alpha=2.0)
         pts = np.array([0.0, 0.5j, 2.0 + 0.0j])
@@ -167,6 +177,41 @@ class TestSupportContains:
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
             support_contains(disc_support(UNIT, alpha=2.0), 0.0, margin=-0.1)
+
+
+class TestNormalisedRadius:
+    def test_boundary_sits_at_one(self):
+        tau = 0.4 * cmath.exp(0.9j)
+        for support in (
+            ellipse_support(EnsembleParams(1.3, 0.7, tau), alpha=3.0),
+            disc_support(EnsembleParams(1.3, 0.7, tau), alpha=3.0),
+        ):
+            r = normalised_radius(support, boundary_points(support, count=64))
+            np.testing.assert_allclose(r, 1.0, rtol=1e-12)
+            dilated = normalised_radius(support, boundary_points(support, 64), 0.25)
+            np.testing.assert_allclose(dilated, 0.8, rtol=1e-12)
+
+    def test_disc_is_the_radial_ratio(self):
+        d = disc_support(EnsembleParams(2.0, 1.0, 0.0), alpha=2.0)  # radius 2
+        assert normalised_radius(d, 3.0 + 4.0j) == 2.5
+        assert normalised_radius(d, 3.0 + 4.0j, margin=0.25) == 2.0
+
+    @pytest.mark.parametrize("k", [-200, -40, 0, 40, 200])
+    def test_collapsed_floor_scales_with_the_support(self, k):
+        # |tau| = 1: the disc's radius and the ellipse's minor axis are 0,
+        # floored at 1e-12 of |center| and of semi_major
+        params = EnsembleParams(2.0**k, 1.0, 1.0)
+        d = disc_support(params, alpha=2.0)
+        assert d.radius == 0.0
+        assert normalised_radius(d, d.center * (1.0 + 1e-13j)) == pytest.approx(0.1)
+        e = ellipse_support(params, alpha=2.0)
+        assert e.semi_minor == 0.0
+        off = e.center + 1e-13j * e.semi_major
+        assert normalised_radius(e, off) == pytest.approx(0.1)
+
+    def test_negative_margin_rejected(self):
+        with pytest.raises(ValueError):
+            normalised_radius(disc_support(UNIT, alpha=2.0), 0.0, margin=-0.1)
 
 
 class TestZeroInEllipse:
