@@ -98,20 +98,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         if args.command == "sample":
-            path = cmd_sample(config, out_dir=args.out)
+            path = cmd_sample(config)
             print(f"wrote {path}")
             return 0
         if args.command == "boundary":
-            path = cmd_boundary(config, out_dir=args.out)
+            path = cmd_boundary(config)
             print(f"wrote {path}")
             return 0
         if args.command == "verify":
-            report, path = cmd_verify(config, out_dir=args.out)
+            report, path = cmd_verify(config)
             for check in report.checks:
                 print(f"{check.name}: {check.status}")
             print(f"overall: {report.overall} ({path})")
             return report.exit_code
-        paths, code = cmd_sweep(config, out_dir=args.out)
+        paths, code = cmd_sweep(config)
         print(f"wrote {len(paths)} reports to {paths[0].parent}")
         return code
     except PairspecError as exc:

@@ -634,9 +634,10 @@ def _check_disc_equivalence(
 ) -> CheckResult:
     """The correlation route and the disc inequality agree pointwise.
 
-    Random parameters and probe points; points whose disc quadratic form
-    sits within 1e-9 of the boundary are excluded (the two routes may
-    round a tie differently).  Any remaining disagreement is fatal.
+    Random parameters and probe points, each built at a normalised
+    radius rho from the disc's centre; points with rho within 1e-9 of 1,
+    the boundary, are excluded (the two routes may round a tie
+    differently).  Any remaining disagreement is fatal.
     """
     rng = np.random.default_rng(derive_seed(config.base_seed, _EQUIV_SEED_BASE))
     draws = 0
@@ -658,9 +659,7 @@ def _check_disc_equivalence(
         if lam == 0:  # the correlation route is undefined there
             skipped_zero += 1
             continue
-        d2 = abs(lam - support.center) ** 2
-        r2 = support.radius**2
-        if abs(d2 - r2) <= EQUIV_BAND * max(1.0, r2):
+        if abs(rho - 1.0) <= EQUIV_BAND:
             skipped_band += 1
             continue
         draws += 1
@@ -725,7 +724,9 @@ def _check_rotation(config: ExperimentConfig, records: list[list]) -> CheckResul
     """Multiplying tau by a phase rotates the predicted and empirical spectra.
 
     Field level (exact): the ellipse for tau * e^{i theta} has a rotated
-    center, identical semi-axes, and rotation shifted by theta.  Sample
+    center, identical semi-axes, and rotation shifted by theta; the
+    centre and axis errors are relative to the base ellipse's extent,
+    max(semi_major, |center|), so none moves with sigma.  Sample
     level (statistical): the mean eigenvalue of X Y* rotates by e^{i
     theta} within 4 joint standard errors, using seed-matched trials on
     the first dims entry: the rotated ensemble reuses the base ensemble's
@@ -740,12 +741,12 @@ def _check_rotation(config: ExperimentConfig, records: list[list]) -> CheckResul
         alpha = Dims(n, p).alpha
         e0 = ellipse_support(base_params, alpha)
         e1 = ellipse_support(rot_params, alpha)
-        scale = max(1.0, abs(e0.center))
+        extent = max(e0.semi_major, abs(e0.center))
         field_err = max(
             field_err,
-            abs(e1.center - phase * e0.center) / scale,
-            abs(e1.semi_major - e0.semi_major),
-            abs(e1.semi_minor - e0.semi_minor),
+            abs(e1.center - phase * e0.center) / extent,
+            abs(e1.semi_major - e0.semi_major) / extent,
+            abs(e1.semi_minor - e0.semi_minor) / extent,
             abs(cmath.exp(1j * (e1.rotation - e0.rotation - theta)) - 1.0),
         )
     field_ok = field_err <= FIELD_TOL

@@ -140,10 +140,12 @@ def qr_factor(a: np.ndarray) -> QRFactor:
 def penrose_residuals(a: np.ndarray, a_pinv: np.ndarray) -> dict[str, float]:
     """Frobenius residuals of the four defining pseudo-inverse identities.
 
-    Each residual is normalised by the Frobenius norm of its left-hand
-    side's leading factor (``a`` or ``a_pinv``), so a residual of 1e-12
-    means the identity holds to roughly machine precision regardless of
-    the matrix scale.
+    Each residual is relative to the quantity its identity is about:
+    ||AGA - A|| / ||A||, ||GAG - G|| / ||G||, ||AG - (AG)*|| / ||AG|| and
+    ||GA - (GA)*|| / ||GA||, with a zero product (Hermitian) reading 0.
+    Scaling A by s and G by 1/s leaves all four unchanged, so a residual
+    of 1e-12 means the identity holds to roughly machine precision at any
+    scale of ``a``.
     """
     a = _as_matrix(a, "penrose_residuals")
     g = _as_matrix(a_pinv, "penrose_residuals")
@@ -151,41 +153,38 @@ def penrose_residuals(a: np.ndarray, a_pinv: np.ndarray) -> dict[str, float]:
         raise ShapeMismatch(
             f"pinv shape {g.shape} incompatible with matrix shape {a.shape}"
         )
-    norm_a = np.linalg.norm(a)
-    norm_g = np.linalg.norm(g)
-    # Both triple products go through the smaller square, min(N, P) on a
-    # side; the larger one is formed only for its Hermitian residual, and
-    # one square product is alive at a time.
-    if a.shape[1] < a.shape[0]:  # P < N: G A is the smaller square
-        ga = g @ a
-        aga = np.linalg.norm(a @ ga - a)
-        gag = np.linalg.norm(ga @ g - g)
-        ga_hermitian = _hermitian_residual(ga)
-        del ga
-        ag_hermitian = _hermitian_residual(a @ g)
-    else:
-        ag = a @ g
-        aga = np.linalg.norm(ag @ a - a)
-        gag = np.linalg.norm(g @ ag - g)
-        ag_hermitian = _hermitian_residual(ag)
-        del ag
-        ga_hermitian = _hermitian_residual(g @ a)
-    return {
-        "aga": float(aga / norm_a),
-        "gag": float(gag / norm_g),
-        "ag_hermitian": ag_hermitian / max(norm_a, 1.0),
-        "ga_hermitian": ga_hermitian / max(norm_g, 1.0),
-    }
+    if a.shape[1] >= a.shape[0]:
+        aga, gag, ag_h, ga_h = _penrose_wide(a, g)
+    else:  # P < N: the identities are the wide case's with A and G swapped
+        gag, aga, ga_h, ag_h = _penrose_wide(g, a)
+    return {"aga": aga, "gag": gag, "ag_hermitian": ag_h, "ga_hermitian": ga_h}
+
+
+def _penrose_wide(a: np.ndarray, g: np.ndarray) -> tuple[float, float, float, float]:
+    """:func:`penrose_residuals`' four values for an A no taller than wide.
+
+    Both triple products go through the smaller square A G; G A is formed
+    only for its Hermitian residual, so one square product is alive at a time.
+    """
+    ag = a @ g
+    aga = float(np.linalg.norm(ag @ a - a) / np.linalg.norm(a))
+    gag = float(np.linalg.norm(g @ ag - g) / np.linalg.norm(g))
+    ag_hermitian = _hermitian_residual(ag)
+    del ag
+    return aga, gag, ag_hermitian, _hermitian_residual(g @ a)
 
 
 def _hermitian_residual(m: np.ndarray) -> float:
-    """Frobenius norm of m - m*, built in eight row blocks, no full conjugate copy."""
+    """||m - m*|| / ||m||, m - m* built in eight row blocks, no full conjugate copy.
+
+    A zero m is Hermitian and reads 0.
+    """
     rows = -(-m.shape[0] // 8)
     total = 0.0
     for i in range(0, m.shape[0], rows):
         d = m[i : i + rows] - m[:, i : i + rows].conj().T
         total += float(np.vdot(d, d).real)
-    return math.sqrt(total)
+    return math.sqrt(total) / float(np.linalg.norm(m)) if total else 0.0
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ from pairspec import (
     validate_config,
 )
 import pairspec
-from pairspec import empirical, harness
+from pairspec import cli, empirical, harness
 from pairspec.cli import main
 from pairspec.harness import EQUIV_DRAWS
 from pairspec.matalg import blas_single_thread
@@ -485,14 +485,80 @@ class TestReportsAreFinite:
         exact = {"penrose", "weinstein_aronszajn", "zero_atoms", "disc_equivalence"}
         assert {checks[name]["status"] for name in exact} == {"pass"}
         # the spectra are powers of two times the unit-scale ones, and
-        # coverage classifies in the support's own units
+        # every check measures them relative to what it tests
         unit = verify(1.0, 1.0, tmp_path / "unit")
+        assert {n: c["status"] for n, c in checks.items()} == {
+            n: c["status"] for n, c in unit.items()
+        }
+        assert len(checks) == len(CHECK_NAMES)
 
         def classified(check):
             rows = check["stats"]["per_dims"]
             return check["status"], [(r["inside_fraction"], r["zero_count_total"]) for r in rows]
 
         assert classified(checks["coverage"]) == classified(unit["coverage"])
+
+
+# Each kind with the taus it accepts: real entries need a real tau.
+_KIND_TAUS = [(REAL, 0.5)] + [(COMPLEX_GENERAL, t) for t in (0.5, 0.5 + 0.3j, -0.6j)]
+
+
+class TestStatusesAreScaleFree:
+    """Every check's status is unchanged when sigma_x and sigma_y scale by 2^k."""
+
+    @settings(max_examples=64, deadline=None)
+    @given(
+        k=st.integers(-100, 100),
+        j=st.integers(-100, 100),
+        kind_tau=st.sampled_from(_KIND_TAUS),
+        product_kind=st.sampled_from(PRODUCT_KINDS),
+        dims=st.lists(_TINY_DIMS, min_size=1, max_size=2),
+        # one trial gates the means by an absolute 1e-9, which is not scale-free
+        trials=st.integers(2, 3),
+        base_seed=st.integers(0, 2**16),
+    )
+    def test_verify_statuses_do_not_move_under_a_power_of_two(
+        self, k, j, kind_tau, product_kind, dims, trials, base_seed
+    ):
+        kind, tau = kind_tau
+        fields = dict(
+            kind=kind, tau=tau, product_kind=product_kind, dims=tuple(dims),
+            trials=trials, base_seed=base_seed, threads=1,
+        )
+
+        def statuses(sigma_x, sigma_y):
+            cfg = ExperimentConfig(sigma_x=sigma_x, sigma_y=sigma_y, **fields)
+            with tempfile.TemporaryDirectory() as out:
+                report, _ = cmd_verify(cfg, out_dir=out)
+            return {c.name: c.status for c in report.checks}
+
+        unit = statuses(1.0, 1.0)
+        assert len(unit) == len(CHECK_NAMES)
+        assert statuses(2.0**k, 2.0**j) == unit
+
+    def test_rotation_field_check_passes_at_sigma_100(self, tmp_path):
+        cfg = ExperimentConfig(
+            sigma_x=100.0,
+            sigma_y=100.0,
+            tau=0.5 + 0.3j,
+            kind=COMPLEX_GENERAL,
+            dims=((400, 200), (400, 800)),
+            checks=("rotation",),
+        )
+        report, _ = cmd_verify(cfg, out_dir=tmp_path)
+        assert report.checks[0].status == "pass"
+        assert report.checks[0].stats["field_max_error"] <= harness.FIELD_TOL
+        assert report.exit_code == 0
+
+    def test_disc_band_is_in_normalised_radius(self, monkeypatch):
+        # a band of 0.1 around rho = 1 skips 0.2 / 1.6 of the drawn points,
+        # whatever the disc's radius
+        monkeypatch.setattr(harness, "EQUIV_BAND", 0.1)
+        stats = harness._check_disc_equivalence(_fast_config(), []).stats
+        drawn = stats["draws"] + stats["skipped_band"]
+        share, want = stats["skipped_band"] / drawn, 0.2 / 1.6
+        assert abs(share - want) <= 5.0 * math.sqrt(want * (1.0 - want) / drawn)
+        assert stats["disagreements"] == 0
 
 
 class TestCmdSweep:
@@ -672,6 +738,24 @@ class TestCli:
         a = (tmp_path / "a" / "eigenvalues.csv").read_bytes()
         b = (tmp_path / "b" / "eigenvalues.csv").read_bytes()
         assert a != b
+
+    @pytest.mark.parametrize("command", ["sample", "boundary", "verify", "sweep"])
+    def test_out_reaches_the_command_through_the_config(self, tmp_path, monkeypatch, command):
+        seen = []
+        real = getattr(cli, f"cmd_{command}")
+
+        def spy(*args, **kwargs):
+            seen.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, f"cmd_{command}", spy)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(_fast_config(dims=((6, 3),), trials=1).to_json())
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        [(args, kwargs)] = seen
+        assert kwargs == {} and args[0].out_dir == str(out)
+        assert any(out.iterdir())
 
 
 class TestThreadCountDeterminism:
@@ -890,6 +974,26 @@ class TestTrialPipeline:
             eigs = reference_spectrum(pair, PSEUDO_INVERSE).eigs
             assert rep.zero_count == int(np.count_nonzero(np.abs(eigs) <= default_zero_tol(eigs)))
             assert abs(trace - np.sum(eigs)) <= 1e-12 * float(np.sum(np.abs(eigs)))
+
+    @pytest.mark.parametrize("planted", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_counts_match_the_reference_spectrum(self, monkeypatch, kind, planted):
+        if planted:
+            _plant_rank_deficient_y(monkeypatch)
+        cfg = _fast_config(
+            kind=kind,
+            tau=0.3 if kind != COMPLEX_GENERAL else 0.3 + 0.2j,
+            dims=((24, 12), (30, 7), (12, 24)),
+            checks=("zero_atoms",),
+        )
+        records = harness._trial_records(cfg)["zero_atoms"]
+        assert records[2] == []  # p >= n: nothing to count
+        for d_i, (n, p) in enumerate(cfg.dims[:2]):
+            pairs = harness._pairs(cfg, d_i)
+            for count, pair in zip(records[d_i], pairs, strict=True):
+                eigs = reference_spectrum(pair, PSEUDO_INVERSE).eigs
+                assert count == int(np.count_nonzero(np.abs(eigs) <= default_zero_tol(eigs)))
+                assert count >= n - p + planted
 
     def test_sweep_runs_disc_equivalence_once(self, tmp_path, monkeypatch):
         cfg = _fast_config(

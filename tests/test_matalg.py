@@ -113,19 +113,55 @@ class TestPenroseResiduals:
         want = {
             "aga": np.linalg.norm(ag @ a - a) / np.linalg.norm(a),
             "gag": np.linalg.norm(ga @ g - g) / np.linalg.norm(g),
-            "ag_hermitian": np.linalg.norm(ag - ag.conj().T) / max(np.linalg.norm(a), 1.0),
-            "ga_hermitian": np.linalg.norm(ga - ga.conj().T) / max(np.linalg.norm(g), 1.0),
+            "ag_hermitian": np.linalg.norm(ag - ag.conj().T) / np.linalg.norm(ag),
+            "ga_hermitian": np.linalg.norm(ga - ga.conj().T) / np.linalg.norm(ga),
         }
         got = penrose_residuals(a, g)
         assert got.keys() == want.keys()
         for key in want:
             assert got[key] == pytest.approx(want[key], rel=1e-9)
 
+    @pytest.mark.parametrize("n, p", [(30, 12), (12, 30)])
+    def test_swapping_a_and_g_swaps_the_identities(self, n, p):
+        # bit for bit: a tall A takes the wide path with A and G swapped
+        a = _gaussian(n, p, seed=8)
+        g = pseudo_inverse(a).pinv + 1e-3 * _gaussian(p, n, seed=9)
+        got, swapped = penrose_residuals(a, g), penrose_residuals(g, a)
+        assert got == {
+            "aga": swapped["gag"],
+            "gag": swapped["aga"],
+            "ag_hermitian": swapped["ga_hermitian"],
+            "ga_hermitian": swapped["ag_hermitian"],
+        }
+
+    def test_zero_product_reads_hermitian(self):
+        # A G = 0 is Hermitian: its residual is 0, not 0/0
+        a, g = np.array([[1.0, 0.0]]), np.array([[0.0], [1.0]])
+        res = penrose_residuals(a, g)
+        assert res["ag_hermitian"] == 0.0
+        assert res["ga_hermitian"] == pytest.approx(np.sqrt(2.0))
+
+    # Each plant breaks one Hermitian identity by 1e-6 of ||G||, and keeps
+    # the other three: Z = G W (I - Y G) when Y is tall, so that
+    # (Y (G + Z))* = Y (G + Z) fails, and its mirror (I - G Y) W G when Y
+    # is wide.  Each reads alike at every sigma_y.
+    @pytest.mark.parametrize("sigma_y", [2.0**20, 1.0, 2.0**-20])
+    @pytest.mark.parametrize("n, p, broken", [(40, 20, "ag_hermitian"), (20, 40, "ga_hermitian")])
+    def test_planted_non_hermitian_product_fails_at_any_scale(self, sigma_y, n, p, broken):
+        y = sigma_y * _gaussian(n, p, seed=11)
+        g = qr_factor(y).pinv()
+        w = _gaussian(max(n, p), max(n, p), seed=12)
+        z = g @ w @ (np.eye(n) - y @ g) if p < n else (np.eye(p) - g @ y) @ w @ g
+        z *= 1e-6 * np.linalg.norm(g) / np.linalg.norm(z)
+        res = penrose_residuals(y, g + z)
+        assert res[broken] > 1e-7
+        assert max(v for key, v in res.items() if key != broken) <= 1e-13
+
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 100])
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_blocked_hermitian_residual_matches_full_norm(self, size, complex_entries):
         m = _gaussian(size, size, seed=size, complex_entries=complex_entries)
-        want = np.linalg.norm(m - m.conj().T)
+        want = np.linalg.norm(m - m.conj().T) / np.linalg.norm(m)
         assert matalg._hermitian_residual(m) == pytest.approx(want, rel=1e-13)
 
 
@@ -157,8 +193,9 @@ class TestQRFactor:
     @pytest.mark.parametrize("n, p", [(40, 17), (25, 25), (17, 40)])
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_pinv_satisfies_all_conditions(self, n, p, complex_entries):
-        y = _gaussian(n, p, seed=n + p, complex_entries=complex_entries)
-        assert max(penrose_residuals(y, qr_factor(y).pinv()).values()) <= 1e-13
+        for scale in (2.0**-100, 1.0, 2.0**100):
+            y = scale * _gaussian(n, p, seed=n + p, complex_entries=complex_entries)
+            assert max(penrose_residuals(y, qr_factor(y).pinv()).values()) <= 1e-13
 
     @pytest.mark.parametrize("n, p", [(30, 12), (12, 30), (12, 12)])
     def test_repeated_column_or_row_is_singular(self, n, p):
