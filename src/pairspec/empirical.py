@@ -127,7 +127,7 @@ def wa_identity_check(pair: MatrixPair, tol: float = 1e-8) -> tuple[bool, float]
     Y* X (P x P); the larger product carries |N - P| extra zeros.  The
     two multisets are matched greedily and the largest pairing distance
     is returned alongside the verdict ``mismatch <= tol * scale``, where
-    scale = max(1, largest |eigenvalue|).
+    scale is the largest |eigenvalue|, so the verdict is scale-free.
     """
     big = eigenvalues(pair.x_mat @ pair.y_mat.conj().T)
     small = eigenvalues(pair.y_mat.conj().T @ pair.x_mat)
@@ -135,7 +135,7 @@ def wa_identity_check(pair: MatrixPair, tol: float = 1e-8) -> tuple[bool, float]
         big, small = small, big
     padded = np.concatenate([small, np.zeros(big.size - small.size, np.complex128)])
     mismatch = multiset_max_distance(big, padded)
-    scale = max(1.0, float(np.max(np.abs(big)))) if big.size else 1.0
+    scale = float(np.max(np.abs(big)))
     return mismatch <= tol * scale, mismatch
 
 

@@ -11,9 +11,9 @@ aside) whatever the BLAS thread count; ``threads`` selects nothing.
 The ``verify`` command runs a configurable battery of checks; five reduce
 one pass over ``sample``'s pairs, drawing each once, and every trial runs
 on the calling thread.  Exact identities (Penrose conditions, the
-product-ordering identity in determinant form, zero-atom counts,
-membership-route equivalence, the field-level parts of rotation
-covariance) fail fatally when violated.  Statistical support-
+product-ordering identity in determinant form, the zero atom's kernel
+certificate, membership-route equivalence, the field-level parts of
+rotation covariance) fail fatally when violated.  Statistical support-
 coverage shortfalls are advisory by default -- the underlying support-
 convergence statement is a conjecture at finite N -- and are promoted to
 fatal by ``strict``.  The process exit code is 0 iff no non-advisory
@@ -48,12 +48,11 @@ from .errors import AlphaOneUnsupported, ConfigError, PairspecError
 from .empirical import (
     WA_DET_TOL,
     coverage,
-    default_zero_tol,
     grand_mean,
     spectrum,
     wa_determinant_check,
 )
-from .matalg import blas_single_thread, eigenvalues, penrose_residuals, qr_factor
+from .matalg import blas_single_thread, penrose_residuals, qr_factor
 from .predict import (
     CONJ_TRANSPOSE,
     PRODUCT_KINDS,
@@ -93,6 +92,7 @@ CHECK_NAMES = (
 
 # Fixed tolerances for the exact-identity checks.
 PENROSE_TOL = 1e-10
+KERNEL_TOL = 1e-13
 EQUIV_DRAWS = 1000
 EQUIV_BAND = 1e-9
 COVERAGE_MIN_INSIDE = 0.995
@@ -280,25 +280,30 @@ def _trial_bytes(n: int, p: int, itemsize: int) -> int:
     solver's real workspace) or the pseudo-inverse built from them,
     together under 4np + 5s^2; the Penrose check, the pseudo-inverse, one
     square product, a quarter-size block of its Hermitian residual and two
-    np-sized residual terms, 3np + 5m^2/4; the zero count, the
-    pseudo-inverse plus X Y† and its eigensolver copy, np + 2m^2, which
-    also bounds the SVD-held factor's N x N reduced matrix and its
-    eigensolve; or the determinant-form product-ordering check, both
-    products and LAPACK's LU copy of one, under 2m^2 + s^2 entries that
-    are complex whatever the kind.  The QR steps peak lower, and Q and R
-    are freed before the square products: the factorisation (Y* when Y
-    is not tall, numpy's copies of it, Q and R) under 4np + s^2; X Y†'s
-    reduced matrix (Q, R, Q's conjugate, the solver's copies and the
-    result) under 2np + 5s^2, and its eigensolve lower; and Y† from the
-    factor (Q, R, Q's conjugate, the solver's copies of R and Q* and the
-    result) under 4np + 2s^2.  Sampling (3np) peaks lower too.  So does
-    rotation, whose one complex pair peaks at 3np complex entries, 48np
-    bytes, while it is drawn, whatever the kind: the real trial's bound is
-    at least 16np + 8(4np + 5s^2) = 48np + 40s^2 bytes.  Left out: O(m)
+    np-sized residual terms, 3np + 5m^2/4; the kernel certificate of
+    ``zero_atoms`` at p < n, the pseudo-inverse beside the complete QR of
+    Y (numpy's and LAPACK's copies of Y with the n x n Q and LAPACK's
+    copy of it, 2np + 2n^2; R and triu's mask come once LAPACK's copies
+    are freed) and then beside Q, Y†·Q⊥ and X·Y†·Q⊥, (n + p)(n - p), so
+    3np + 2n^2 in all; or the determinant-form product-ordering check,
+    both products and LAPACK's LU copy of one, under 2m^2 + s^2 entries
+    that are complex whatever the kind.  The SVD-held factor's n x n
+    reduced matrix X Y† and its eigensolve, beside Y†, np + 2n^2, fall
+    under the certificate's term when p < n and under 4np + 5s^2
+    otherwise.  The QR steps peak lower, and Q and R are freed before the
+    square products: the factorisation (Y* when Y is not tall, numpy's
+    copies of it, Q and R) under 4np + s^2; X Y†'s reduced matrix (Q, R,
+    Q's conjugate, the solver's copies and the result) under 2np + 5s^2,
+    and its eigensolve lower; and Y† from the factor (Q, R, Q's
+    conjugate, the solver's copies of R and Q* and the result) under
+    4np + 2s^2.  Sampling (3np) peaks lower too.  So does rotation, whose
+    one complex pair peaks at 3np complex entries, 48np bytes, while it
+    is drawn, whatever the kind: the real trial's bound is at least
+    16np + 8(4np + 5s^2) = 48np + 40s^2 bytes.  Left out: O(m)
     workspace, OpenBLAS's buffers and the interpreter itself.
     """
     m, s, np_ = max(n, p), min(n, p), n * p
-    steps = max(4 * np_ + 5 * s * s, 3 * np_ + 5 * m * m // 4, np_ + 2 * m * m)
+    steps = max(4 * np_ + 5 * s * s, 3 * np_ + 5 * m * m // 4, 3 * np_ + 2 * n * n)
     return 2 * np_ * itemsize + max(steps * itemsize, (2 * m * m + s * s) * 16)
 
 
@@ -415,19 +420,34 @@ def _support(
     return disc_support(params, alpha)
 
 
+def _kernel_residual(x: np.ndarray, y: np.ndarray, pinv: np.ndarray) -> float:
+    """||X Y† Q⊥||_F / (||X||_F ||Y†||_F) for a tall N x P pair, P < N.
+
+    Q⊥, the last N - P columns of a complete QR of Y, is orthonormal and
+    orthogonal to range(Y) whatever Y's rank, so Y† sends it to 0.  A
+    residual at rounding level exhibits N - P independent vectors that
+    X Y† sends to 0, hence at least N - P zero eigenvalues, with no
+    eigensolve.  The norms make it scale-free; a zero product reads 0.
+    """
+    q = np.linalg.qr(y, mode="complete")[0]
+    residual = float(np.linalg.norm(x @ (pinv @ q[:, y.shape[1] :])))
+    return residual / float(np.linalg.norm(x) * np.linalg.norm(pinv)) if residual else 0.0
+
+
 def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
     """Draw each (dims, trial) pair once and reduce it for the enabled checks.
 
     Returns, for each check name, one list per dims entry of its per-trial
     scalars in trial order: the largest Penrose residual, the determinant-
-    form product-ordering (verdict, gap), the zero count of the full N x N
-    product X Y† (p < n only), the CoverageReport, the product's trace
-    (under ``mean_eigenvalue``), and, for the first dims entry only, the
-    traces of X Y* of rotation's seed-matched base and rotated pairs.  A
-    list stays empty unless its check is enabled.  Each dims entry's
-    support is built once, here; where it cannot be, ``coverage`` gets the
-    AlphaOneUnsupported raised in place of that entry's list.  The pairs
-    come from :func:`_pairs`, as ``cmd_sample``'s do.
+    form product-ordering (verdict, gap), the kernel certificate's
+    :func:`_kernel_residual` (p < n only), the CoverageReport, the
+    product's trace (under ``mean_eigenvalue``), and, for the first dims
+    entry only, the traces of X Y* of rotation's seed-matched base and
+    rotated pairs.  A list stays empty unless its check is enabled.  Each
+    dims entry's support is built once, here; where it cannot be,
+    ``coverage`` gets the AlphaOneUnsupported raised in place of that
+    entry's list.  The pairs come from :func:`_pairs`, as ``cmd_sample``'s
+    do.
 
     Y is factored once per pair, by :func:`qr_factor`, and that factor
     feeds X Y†'s reduced matrix (its eigensolve for ``coverage``, its
@@ -435,9 +455,10 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
     ``penrose`` and ``zero_atoms`` read; Q and R are freed before their
     square products.  Where R is numerically singular the factor holds
     the SVD's Y†, and its reduced matrix is the N x N product X Y†: one
-    SVD per pair, and no branch here.  The trace of X Y* is
-    ``vdot(Y, X)``.  No eigensolve runs for ``mean_eigenvalue``.
-    Everything runs on the calling thread, one step at a time (see
+    SVD per pair, and no branch here.  ``zero_atoms`` multiplies that Y†
+    into the kernel basis of a complete QR of Y, so the full N x N X Y†
+    is never formed.  The trace of X Y* is ``vdot(Y, X)``.  No eigensolve
+    runs for ``mean_eigenvalue`` or ``zero_atoms``.  Everything runs on the calling thread, one step at a time (see
     :func:`_trial_bytes`).
     """
     on = set(config.checks)
@@ -484,11 +505,8 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
                 rec["coverage"].append(coverage(sample, support, config.margin))
             if penrose:
                 rec["penrose"].append(max(penrose_residuals(y, pinv).values()))
-            if zeros:  # the eigensolver finds the kernel zeros; none are padded
-                eigs = eigenvalues(x @ pinv)
-                zero = np.abs(eigs) <= default_zero_tol(eigs)
-                rec["zero_atoms"].append(int(np.count_nonzero(zero)))
-                eigs = None
+            if zeros:
+                rec["zero_atoms"].append(_kernel_residual(x, y, pinv))
             pinv = None
     if "rotation" in on:
         dims = Dims(*config.dims[0])
@@ -543,17 +561,15 @@ def _check_wa(config: ExperimentConfig, records: list[list]) -> CheckResult:
 
 
 def _check_zero_atoms(config: ExperimentConfig, records: list[list]) -> CheckResult:
-    """X Y† at p < n: at least n-p exact zeros, fraction near 1 - p/n.
+    """X Y† at p < n: its kernel holds n - p orthonormal vectors, so >= n - p zeros.
 
-    The count bound is an exact rank statement and fails fatally; the
-    fraction band (2/sqrt(n) around 1 - p/n) is statistical and advisory,
-    since only "at least" is guaranteed.  Each count comes from the
-    eigensolve of the full n x n product X Y†, Y† from the pair's
-    :func:`qr_factor` (the SVD's where R is numerically singular), not
-    from the reduced-path spectrum: that pads exactly n - p zeros, which
-    would pass the count by construction.
+    Each record is a pair's :func:`_kernel_residual`.  A residual above
+    KERNEL_TOL fails fatally: that pair's n - p zeros are not certified.
+    ``min_zero_count`` is the fewest zeros certified in one trial, n - p
+    when every residual passes and 0 otherwise.  Only "at least" is
+    exact, so no zero fraction is judged; and no eigensolve runs.
     """
-    rect = [(n, p, c) for (n, p), c in zip(config.dims, records) if p < n]
+    rect = [(n, p, r) for (n, p), r in zip(config.dims, records) if p < n]
     if not rect:
         return CheckResult(
             name="zero_atoms",
@@ -561,31 +577,22 @@ def _check_zero_atoms(config: ExperimentConfig, records: list[list]) -> CheckRes
             stats={"dims_checked": 0},
             note="no dims with p < n configured; nothing to check",
         )
-    fatal = False
-    advisory = False
     per_dims: list[dict[str, Any]] = []
-    for n, p, counts in rect:
-        min_count = min(counts)
-        mean_frac = float(np.mean(counts)) / n
-        expected = 1.0 - p / n
-        band = 2.0 / math.sqrt(n)
-        fatal = fatal or min_count < n - p
-        advisory = advisory or abs(mean_frac - expected) > band
+    for n, p, residuals in rect:
+        worst = max(residuals)
         per_dims.append(
             {
                 "n": n,
                 "p": p,
-                "min_zero_count": min_count,
-                "required_count": n - p,
-                "mean_zero_fraction": mean_frac,
-                "expected_fraction": expected,
-                "band": band,
+                "min_zero_count": n - p if worst <= KERNEL_TOL else 0,
+                "max_certificate_residual": worst,
             }
         )
+    fatal = any(d["max_certificate_residual"] > KERNEL_TOL for d in per_dims)
     return CheckResult(
         name="zero_atoms",
-        status=_status(fatal, advisory, config.strict),
-        stats={"dims_checked": len(rect), "per_dims": per_dims},
+        status=_status(fatal, False, config.strict),
+        stats={"dims_checked": len(rect), "per_dims": per_dims, "tol": KERNEL_TOL},
     )
 
 

@@ -142,7 +142,8 @@ def penrose_residuals(a: np.ndarray, a_pinv: np.ndarray) -> dict[str, float]:
 
     Each residual is relative to the quantity its identity is about:
     ||AGA - A|| / ||A||, ||GAG - G|| / ||G||, ||AG - (AG)*|| / ||AG|| and
-    ||GA - (GA)*|| / ||GA||, with a zero product (Hermitian) reading 0.
+    ||GA - (GA)*|| / ||GA||, each reading 0 where its residual is 0, so a
+    zero A, G or product reads 0, not 0/0.
     Scaling A by s and G by 1/s leaves all four unchanged, so a residual
     of 1e-12 means the identity holds to roughly machine precision at any
     scale of ``a``.
@@ -167,11 +168,17 @@ def _penrose_wide(a: np.ndarray, g: np.ndarray) -> tuple[float, float, float, fl
     only for its Hermitian residual, so one square product is alive at a time.
     """
     ag = a @ g
-    aga = float(np.linalg.norm(ag @ a - a) / np.linalg.norm(a))
-    gag = float(np.linalg.norm(g @ ag - g) / np.linalg.norm(g))
+    aga = _relative(ag @ a - a, a)
+    gag = _relative(g @ ag - g, g)
     ag_hermitian = _hermitian_residual(ag)
     del ag
     return aga, gag, ag_hermitian, _hermitian_residual(g @ a)
+
+
+def _relative(residual: np.ndarray, of: np.ndarray) -> float:
+    """||residual|| / ||of||; a zero residual reads 0, also where ``of`` is 0."""
+    norm = float(np.linalg.norm(residual))
+    return norm / float(np.linalg.norm(of)) if norm else 0.0
 
 
 def _hermitian_residual(m: np.ndarray) -> float:

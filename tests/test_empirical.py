@@ -34,6 +34,7 @@ from pairspec import (
     wa_determinant_check,
     wa_identity_check,
 )
+from pairspec import empirical
 from pairspec.empirical import WA_DET_TOL
 
 UNIT = EnsembleParams(1.0, 1.0, 0.0)
@@ -192,6 +193,21 @@ class TestWaIdentity:
         assert ok
         assert mismatch <= 1e-8
 
+    @pytest.mark.parametrize("sigma", [1.0, 2.0**-30])
+    def test_relative_skew_fails_at_any_scale(self, monkeypatch, sigma):
+        # the N x N side's eigenvalues off by 1e-6 relative: a tolerance
+        # floored at scale 1 passed this below unit scale
+        real = empirical.eigenvalues
+
+        def skewed(m):
+            return real(m) * (1.0 + 1e-6) if len(m) == 40 else real(m)
+
+        monkeypatch.setattr(empirical, "eigenvalues", skewed)
+        params = EnsembleParams(sigma, sigma, 0.5, kind=COMPLEX_GENERAL)
+        ok, mismatch = wa_identity_check(sample_pair(params, Dims(40, 20), seed=3))
+        assert not ok
+        assert mismatch > 0.0
+
     def test_corrupted_spectrum_is_detected(self):
         # the identity's matcher must flag a displaced eigenvalue
         pair = sample_pair(UNIT, Dims(10, 6), seed=10)
@@ -202,8 +218,8 @@ class TestWaIdentity:
         assert multiset_max_distance(big, padded) > 1.0
 
 
-# wa_identity_check's tolerance in these comparisons, relative to
-# max(1, largest |eigenvalue|).
+# wa_identity_check's tolerance in these comparisons, relative to the
+# largest |eigenvalue|.
 SPECTRAL_TOL = 1e-7
 
 

@@ -837,6 +837,17 @@ def _count_svd_calls(monkeypatch, calls):
     monkeypatch.setattr(np.linalg, "svd", counted)
 
 
+def _count_eig_calls(monkeypatch, calls):
+    """Count np.linalg.eigvals calls, the eigensolve behind matalg.eigenvalues."""
+    real = np.linalg.eigvals
+
+    def counted(*args, **kwargs):
+        calls["eigvals"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+
+
 def _plant_rank_deficient_y(monkeypatch):
     """Make every pair harness draws have a numerically rank-deficient Y.
 
@@ -938,10 +949,9 @@ class TestTrialPipeline:
             checks=("mean_eigenvalue",),
         )
         calls = Counter()
-        _count_calls(monkeypatch, "eigenvalues", calls)
-        monkeypatch.setattr(empirical, "eigenvalues", harness.eigenvalues)
+        _count_eig_calls(monkeypatch, calls)
         got = harness._trial_records(cfg)["mean_eigenvalue"]
-        assert calls["eigenvalues"] == 0  # with coverage off, no eigensolve runs
+        assert calls["eigvals"] == 0  # with coverage off, no eigensolve runs
         for d_i, sums in enumerate(got):
             for trace, pair in zip(sums, harness._pairs(cfg, d_i), strict=True):
                 eigs = spectrum(pair, product).eigs
@@ -966,13 +976,16 @@ class TestTrialPipeline:
         report, _ = cmd_verify(cfg, out_dir=tmp_path)
         results = {c.name: c for c in report.checks}
         assert results["penrose"].status == "pass"
-        assert results["zero_atoms"].stats["per_dims"][0]["min_zero_count"] >= 24 - 12 + 1
-        # coverage reads the reference spectrum, and the mean the trace of X Y†
+        assert results["zero_atoms"].status == "pass"
+        assert results["zero_atoms"].stats["per_dims"][0]["min_zero_count"] == 24 - 12
+        # coverage reads the reference spectrum, and the mean the trace of X Y†;
+        # the reference finds the planted extra kernel zero
         records = harness._trial_records(cfg)
         reports, traces = records["coverage"][0], records["mean_eigenvalue"][0]
         for rep, trace, pair in zip(reports, traces, harness._pairs(cfg, 0), strict=True):
             eigs = reference_spectrum(pair, PSEUDO_INVERSE).eigs
-            assert rep.zero_count == int(np.count_nonzero(np.abs(eigs) <= default_zero_tol(eigs)))
+            zeros = int(np.count_nonzero(np.abs(eigs) <= default_zero_tol(eigs)))
+            assert rep.zero_count == zeros >= 24 - 12 + 1
             assert abs(trace - np.sum(eigs)) <= 1e-12 * float(np.sum(np.abs(eigs)))
 
     @pytest.mark.parametrize("planted", [False, True])
@@ -987,12 +1000,13 @@ class TestTrialPipeline:
             checks=("zero_atoms",),
         )
         records = harness._trial_records(cfg)["zero_atoms"]
-        assert records[2] == []  # p >= n: nothing to count
+        assert records[2] == []  # p >= n: nothing to certify
         for d_i, (n, p) in enumerate(cfg.dims[:2]):
             pairs = harness._pairs(cfg, d_i)
-            for count, pair in zip(records[d_i], pairs, strict=True):
+            for residual, pair in zip(records[d_i], pairs, strict=True):
+                assert residual <= harness.KERNEL_TOL  # n - p zeros certified
                 eigs = reference_spectrum(pair, PSEUDO_INVERSE).eigs
-                assert count == int(np.count_nonzero(np.abs(eigs) <= default_zero_tol(eigs)))
+                count = int(np.count_nonzero(np.abs(eigs) <= default_zero_tol(eigs)))
                 assert count >= n - p + planted
 
     def test_sweep_runs_disc_equivalence_once(self, tmp_path, monkeypatch):
@@ -1036,3 +1050,87 @@ class TestTrialPipeline:
         cmd_sweep(sweep, out_dir=tmp_path / "s")
         assert seen
         assert set(seen) == {before}
+
+
+# Tall shapes, p < n, on both sides of the plant's p >= 6.
+_TALL_DIMS = st.integers(1, 40).flatmap(
+    lambda p: st.tuples(st.integers(p + 1, p + 40), st.just(p))
+)
+
+
+class TestKernelCertificate:
+    """zero_atoms certifies Y†'s kernel; the full N x N eigensolve is its reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=_TALL_DIMS,
+        kind=st.sampled_from(KINDS),
+        modulus=st.sampled_from([0.0, 0.5, 0.999999, 1.0]),
+        planted=st.booleans(),
+        base_seed=st.integers(0, 2**16),
+    )
+    def test_certified_zeros_are_found_by_the_reference(
+        self, dims, kind, modulus, planted, base_seed
+    ):
+        n, p = dims
+        planted = planted and p >= 6  # the plant copies column 2 into column 5
+        tau = modulus * (0.6 + 0.8j) if kind == COMPLEX_GENERAL else -modulus
+        cfg = _fast_config(
+            kind=kind, tau=tau, dims=(dims,), trials=2, base_seed=base_seed,
+            checks=("zero_atoms",),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            if planted:
+                _plant_rank_deficient_y(mp)
+            residuals = harness._trial_records(cfg)["zero_atoms"][0]
+            pairs = list(harness._pairs(cfg, 0))
+        check = harness._check_zero_atoms(cfg, [residuals])
+        assert check.status == "pass"
+        assert check.stats["per_dims"][0]["min_zero_count"] == n - p
+        for residual, pair in zip(residuals, pairs, strict=True):
+            assert residual <= harness.KERNEL_TOL
+            eigs = reference_spectrum(pair, PSEUDO_INVERSE).eigs
+            assert np.count_nonzero(np.abs(eigs) <= default_zero_tol(eigs)) >= n - p
+
+    @pytest.mark.parametrize(
+        "kind, dims", [(REAL, (40, 10)), (COMPLEX_INDEPENDENT, (200, 100)), (REAL, (60, 59))]
+    )
+    def test_planted_pinv_error_fails(self, tmp_path, monkeypatch, kind, dims):
+        # 1e-9 * ||Y†|| in one entry of Y†; at (60, 59) it moves one kernel vector
+        real = harness.qr_factor
+
+        def planted(y):  # a factor that holds the off Y† as its Y†
+            factor = real(y)
+            g = factor.pinv().copy()
+            g[0, 0] += 1e-9 * np.linalg.norm(g)
+            return dataclasses.replace(factor, q=None, r=None, svd_pinv=g)
+
+        monkeypatch.setattr(harness, "qr_factor", planted)
+        cfg = _fast_config(kind=kind, dims=(dims,), checks=("zero_atoms",))
+        report, _ = cmd_verify(cfg, out_dir=tmp_path)
+        assert report.checks[0].status == "fail"
+        assert report.exit_code == 1
+        entry = report.checks[0].stats["per_dims"][0]
+        assert entry["max_certificate_residual"] > 10 * harness.KERNEL_TOL
+        assert entry["min_zero_count"] == 0
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_no_eigensolve_runs(self, tmp_path, monkeypatch, planted):
+        if planted:
+            _plant_rank_deficient_y(monkeypatch)
+        calls = Counter()
+        _count_eig_calls(monkeypatch, calls)
+        cfg = _fast_config(dims=((24, 12), (30, 7), (12, 24)), checks=("zero_atoms",))
+        report, _ = cmd_verify(cfg, out_dir=tmp_path)
+        assert report.checks[0].status == "pass"
+        assert calls["eigvals"] == 0
+
+    def test_residual_is_unchanged_under_a_power_of_two(self):
+        def residuals(sigma_x, sigma_y):
+            cfg = _fast_config(
+                sigma_x=sigma_x, sigma_y=sigma_y, kind=COMPLEX_GENERAL, tau=0.5 + 0.3j,
+                dims=((40, 10), (30, 29)), checks=("zero_atoms",),
+            )
+            return harness._trial_records(cfg)["zero_atoms"]
+
+        assert residuals(2.0**90, 2.0**-70) == residuals(1.0, 1.0)

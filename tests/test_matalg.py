@@ -141,6 +141,13 @@ class TestPenroseResiduals:
         assert res["ag_hermitian"] == 0.0
         assert res["ga_hermitian"] == pytest.approx(np.sqrt(2.0))
 
+    def test_zero_matrices_read_zero_not_nan(self):
+        # 0 is the exact pseudo-inverse of 0; G = 0 misses only A G A = A
+        keys = ("aga", "gag", "ag_hermitian", "ga_hermitian")
+        assert penrose_residuals(np.zeros((2, 3)), np.zeros((3, 2))) == dict.fromkeys(keys, 0.0)
+        res = penrose_residuals(np.ones((2, 3)), np.zeros((3, 2)))
+        assert res == {"aga": 1.0, "gag": 0.0, "ag_hermitian": 0.0, "ga_hermitian": 0.0}
+
     # Each plant breaks one Hermitian identity by 1e-6 of ||G||, and keeps
     # the other three: Z = G W (I - Y G) when Y is tall, so that
     # (Y (G + Z))* = Y (G + Z) fails, and its mirror (I - G Y) W G when Y
