@@ -273,37 +273,35 @@ def _sweep_p(alpha: float, n0: int) -> int:
 def _trial_bytes(n: int, p: int, itemsize: int) -> int:
     """Peak bytes of one verify trial at (n, p); its steps run one at a time.
 
-    In matrix entries, with m = max(n, p) and s = min(n, p): the pair, 2np,
-    alive throughout, and the largest of the steps, one of: the SVD that
-    :func:`qr_factor` runs in place of Q and R wherever R is numerically
-    singular, which any pair may take (numpy's copy of Y, U, Vh and the
-    solver's real workspace) or the pseudo-inverse built from them,
-    together under 4np + 5s^2; the Penrose check, the pseudo-inverse, one
-    square product, a quarter-size block of its Hermitian residual and two
-    np-sized residual terms, 3np + 5m^2/4; the kernel certificate of
-    ``zero_atoms`` at p < n, the pseudo-inverse beside the complete QR of
-    Y (numpy's and LAPACK's copies of Y with the n x n Q and LAPACK's
-    copy of it, 2np + 2n^2; R and triu's mask come once LAPACK's copies
-    are freed) and then beside Q, Y†·Q⊥ and X·Y†·Q⊥, (n + p)(n - p), so
-    3np + 2n^2 in all; or the determinant-form product-ordering check,
+    In matrix entries, with m = max(n, p), s = min(n, p) and q = n^2
+    where p < n, else 0 (the complete Q that ``zero_atoms`` asks of
+    :func:`qr_factor`, alive from the factor step through the reduce,
+    pinv and certificate steps): the pair, 2np, alive throughout, and the
+    largest of the steps, one of: the SVD that :func:`qr_factor` runs in
+    place of Q and R wherever R is numerically singular, which any pair
+    may take (numpy's copy of Y, U, Vh and the solver's real workspace)
+    or the pseudo-inverse built from them, beside Q, 4np + 5s^2 + q; the
+    SVD-held factor's n x n reduced matrix X Y† and its eigensolve, beside
+    Y† and Q, np + 2n^2 + q: np + 3q where p < n, else under the SVD's
+    term; the Penrose check, the pseudo-inverse, one square product, a
+    quarter-size block of its Hermitian residual and two np-sized residual
+    terms, 3np + 5m^2/4; or the determinant-form product-ordering check,
     both products and LAPACK's LU copy of one, under 2m^2 + s^2 entries
-    that are complex whatever the kind.  The SVD-held factor's n x n
-    reduced matrix X Y† and its eigensolve, beside Y†, np + 2n^2, fall
-    under the certificate's term when p < n and under 4np + 5s^2
-    otherwise.  The QR steps peak lower, and Q and R are freed before the
-    square products: the factorisation (Y* when Y is not tall, numpy's
-    copies of it, Q and R) under 4np + s^2; X Y†'s reduced matrix (Q, R,
-    Q's conjugate, the solver's copies and the result) under 2np + 5s^2,
-    and its eigensolve lower; and Y† from the factor (Q, R, Q's
-    conjugate, the solver's copies of R and Q* and the result) under
-    4np + 2s^2.  Sampling (3np) peaks lower too.  So does rotation, whose
-    one complex pair peaks at 3np complex entries, 48np bytes, while it
-    is drawn, whatever the kind: the real trial's bound is at least
-    16np + 8(4np + 5s^2) = 48np + 40s^2 bytes.  Left out: O(m)
+    that are complex whatever the kind.  The rest peak lower: the complete
+    QR (numpy's and LAPACK's copies of Y, Q and LAPACK's copy of it),
+    2np + 2q, before Y† exists, and the certificate (Q, R's n x p array,
+    Y†, Y†·Q⊥ and X·Y†·Q⊥), 2np + 2q - p^2, both under the mean of the
+    first two terms; X Y†'s reduced matrix and Y† from the factor (Q, R's
+    array, Q's conjugate, the solver's copies, the result) under the SVD's
+    term; the reduced QR (numpy's copies of Y or Y*, Q and R) under
+    4np + s^2; sampling, 3np.  Q and R are freed before the square
+    products.  Rotation's one complex pair peaks at 48np bytes whatever
+    the kind, under the real trial's 16np + 8(4np + 5s^2).  Left out: O(m)
     workspace, OpenBLAS's buffers and the interpreter itself.
     """
     m, s, np_ = max(n, p), min(n, p), n * p
-    steps = max(4 * np_ + 5 * s * s, 3 * np_ + 5 * m * m // 4, 3 * np_ + 2 * n * n)
+    q = n * n if p < n else 0  # zero_atoms' complete Q
+    steps = max(4 * np_ + 5 * s * s + q, 3 * np_ + 5 * m * m // 4, np_ + 3 * q)
     return 2 * np_ * itemsize + max(steps * itemsize, (2 * m * m + s * s) * 16)
 
 
@@ -420,27 +418,13 @@ def _support(
     return disc_support(params, alpha)
 
 
-def _kernel_residual(x: np.ndarray, y: np.ndarray, pinv: np.ndarray) -> float:
-    """||X Y† Q⊥||_F / (||X||_F ||Y†||_F) for a tall N x P pair, P < N.
-
-    Q⊥, the last N - P columns of a complete QR of Y, is orthonormal and
-    orthogonal to range(Y) whatever Y's rank, so Y† sends it to 0.  A
-    residual at rounding level exhibits N - P independent vectors that
-    X Y† sends to 0, hence at least N - P zero eigenvalues, with no
-    eigensolve.  The norms make it scale-free; a zero product reads 0.
-    """
-    q = np.linalg.qr(y, mode="complete")[0]
-    residual = float(np.linalg.norm(x @ (pinv @ q[:, y.shape[1] :])))
-    return residual / float(np.linalg.norm(x) * np.linalg.norm(pinv)) if residual else 0.0
-
-
 def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
     """Draw each (dims, trial) pair once and reduce it for the enabled checks.
 
     Returns, for each check name, one list per dims entry of its per-trial
     scalars in trial order: the largest Penrose residual, the determinant-
     form product-ordering (verdict, gap), the kernel certificate's
-    :func:`_kernel_residual` (p < n only), the CoverageReport, the
+    :meth:`QRFactor.kernel_residual` (p < n only), the CoverageReport, the
     product's trace (under ``mean_eigenvalue``), and, for the first dims
     entry only, the traces of X Y* of rotation's seed-matched base and
     rotated pairs.  A list stays empty unless its check is enabled.  Each
@@ -451,15 +435,14 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
 
     Y is factored once per pair, by :func:`qr_factor`, and that factor
     feeds X Y†'s reduced matrix (its eigensolve for ``coverage``, its
-    trace for ``mean_eigenvalue``) and then the explicit Y† that
-    ``penrose`` and ``zero_atoms`` read; Q and R are freed before their
-    square products.  Where R is numerically singular the factor holds
-    the SVD's Y†, and its reduced matrix is the N x N product X Y†: one
-    SVD per pair, and no branch here.  ``zero_atoms`` multiplies that Y†
-    into the kernel basis of a complete QR of Y, so the full N x N X Y†
-    is never formed.  The trace of X Y* is ``vdot(Y, X)``.  No eigensolve
-    runs for ``mean_eigenvalue`` or ``zero_atoms``.  Everything runs on the calling thread, one step at a time (see
-    :func:`_trial_bytes`).
+    trace for ``mean_eigenvalue``), then the explicit Y† that ``penrose``
+    reads and, for ``zero_atoms`` at p < n, the kernel certificate from
+    the same, complete, QR, so the N x N X Y† is never formed.  Q and R
+    are freed before the square products.  Where R is numerically singular
+    the factor holds the SVD's Y†: one SVD per pair, and no branch here.
+    The trace of X Y* is ``vdot(Y, X)``.  No eigensolve runs for
+    ``mean_eigenvalue`` or ``zero_atoms``.  Everything runs on the calling
+    thread, one step at a time (see :func:`_trial_bytes`).
     """
     on = set(config.checks)
     params = config.ensemble_params()
@@ -489,7 +472,7 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
                 trace = complex(np.vdot(y, x)) if mean else None
                 sample = spectrum(pair, kind) if support is not None else None
             if factored:
-                factor = qr_factor(y)
+                factor = qr_factor(y, kernel=zeros)
                 if reduce:
                     m = factor.reduced(x)
                     trace = complex(np.trace(m))
@@ -498,6 +481,8 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
                     m = None
                 if penrose or zeros:
                     pinv = factor.pinv()
+                if zeros:
+                    rec["zero_atoms"].append(factor.kernel_residual(x, pinv))
                 factor = None  # Q and R go before the square products
             if mean:
                 rec["mean_eigenvalue"].append(trace)
@@ -505,8 +490,6 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
                 rec["coverage"].append(coverage(sample, support, config.margin))
             if penrose:
                 rec["penrose"].append(max(penrose_residuals(y, pinv).values()))
-            if zeros:
-                rec["zero_atoms"].append(_kernel_residual(x, y, pinv))
             pinv = None
     if "rotation" in on:
         dims = Dims(*config.dims[0])
@@ -563,11 +546,11 @@ def _check_wa(config: ExperimentConfig, records: list[list]) -> CheckResult:
 def _check_zero_atoms(config: ExperimentConfig, records: list[list]) -> CheckResult:
     """X Y† at p < n: its kernel holds n - p orthonormal vectors, so >= n - p zeros.
 
-    Each record is a pair's :func:`_kernel_residual`.  A residual above
-    KERNEL_TOL fails fatally: that pair's n - p zeros are not certified.
-    ``min_zero_count`` is the fewest zeros certified in one trial, n - p
-    when every residual passes and 0 otherwise.  Only "at least" is
-    exact, so no zero fraction is judged; and no eigensolve runs.
+    Each record is a pair's :meth:`QRFactor.kernel_residual`.  A residual
+    above KERNEL_TOL fails fatally: that pair's n - p zeros are not
+    certified.  ``min_zero_count`` is the fewest zeros certified in one
+    trial, n - p when every residual passes and 0 otherwise.  Only "at
+    least" is exact, so no zero fraction is judged; and no eigensolve runs.
     """
     rect = [(n, p, r) for (n, p), r in zip(config.dims, records) if p < n]
     if not rect:

@@ -1,8 +1,8 @@
 """Dense matrix kernels: pseudo-inverses, Penrose checks, spectra.
 
-Thin, validating wrappers around LAPACK via numpy.  Y's pseudo-inverse is
-decided here and nowhere else: :func:`qr_factor` factors Y by one reduced
-QR and yields Y† and the matrix whose spectrum is that of X Y†; where R is
+Thin, validating wrappers around LAPACK via numpy.  How Y is factored is
+decided here and nowhere else: :func:`qr_factor` runs one QR of Y for Y†,
+X Y†'s spectrum matrix and, on request, Y†'s kernel certificate; where R is
 numerically singular the same factor carries the SVD pseudo-inverse
 instead, so no caller branches on Y's rank.  :func:`pseudo_inverse` is
 that SVD, and the reference path: it applies an explicit relative cutoff
@@ -84,18 +84,21 @@ def pseudo_inverse(a: np.ndarray) -> PinvResult:
 
 @dataclass(frozen=True)
 class QRFactor:
-    """Y's pseudo-inverse, from a reduced QR of the N x P matrix Y or its SVD.
+    """Y's pseudo-inverse, from a QR of the N x P matrix Y or its SVD.
 
     For P < N it factors Y = QR, so Y† = R^-1 Q*; for P >= N it factors
     Y* = QR, so Y† = Q R^-* = (R^-1 Q*)*.  R is min(N, P) square.  Where R
     is numerically singular, Q and R are None and ``svd_pinv`` holds
-    :func:`pseudo_inverse`'s Y†, which both methods return from.
+    :func:`pseudo_inverse`'s Y†, which the methods return from.  ``kernel``
+    is Q⊥, the rest of a complete Q, where asked for and P < N; the SVD
+    case keeps it, as it is orthogonal to range(Y) whatever Y's rank.
     """
 
     q: np.ndarray | None
     r: np.ndarray | None
     tall: bool  # P < N: Y = QR; otherwise Y* = QR
     svd_pinv: np.ndarray | None = None
+    kernel: np.ndarray | None = None  # Q⊥, N x (N - P)
 
     def reduced(self, x: np.ndarray) -> np.ndarray:
         """The matrix whose eigenvalues are X Y†'s, less any padded zeros.
@@ -119,22 +122,36 @@ class QRFactor:
         g = np.linalg.solve(self.r, self.q.conj().T)
         return g if self.tall else g.conj().T
 
+    def kernel_residual(self, x: np.ndarray, pinv: np.ndarray) -> float:
+        """||X (Y† Q⊥)||_F / (||X||_F ||Y†||_F), ``pinv`` being Y†; 0 for a zero product.
 
-def qr_factor(a: np.ndarray) -> QRFactor:
-    """Factor ``a`` (or a* when it is not tall) by reduced QR.
+        At rounding level it shows Q⊥'s N - P orthonormal columns to be
+        kernel vectors of X Y†: N - P zero eigenvalues, with no eigensolve.
+        """
+        residual = float(np.linalg.norm(x @ (pinv @ self.kernel)))
+        return residual / float(np.linalg.norm(x) * np.linalg.norm(pinv)) if residual else 0.0
 
-    R is numerically singular when min |r_ii| <= max(N, P) * eps *
-    max |r_ii|, the SVD's own cutoff scale; then Q and R are freed and the
-    factor holds ``pseudo_inverse(a).pinv`` in their place.
+
+def qr_factor(a: np.ndarray, kernel: bool = False) -> QRFactor:
+    """Factor ``a`` (or a* when it is not tall) by one reduced QR.
+
+    With ``kernel`` and a tall ``a`` it is complete instead, and Q, R and
+    ``kernel`` are views of its factors.  Where R is numerically singular,
+    min |r_ii| <= max(N, P) * eps * max |r_ii| (the SVD's own cutoff
+    scale), the factor holds ``pseudo_inverse(a).pinv`` in place of Q and R.
     """
     a = _as_matrix(a, "qr_factor")
-    tall = a.shape[1] < a.shape[0]
-    q, r = np.linalg.qr(a if tall else a.conj().T)
+    s = min(a.shape)
+    tall = s < a.shape[0]
+    complete = kernel and tall
+    q, r = np.linalg.qr(a if tall else a.conj().T, mode="complete" if complete else "reduced")
+    basis = q[:, s:] if complete else None
+    q, r = q[:, :s], r[:s]
     diag = np.abs(np.diagonal(r))
     if not diag.min() > _rank_rtol(a.shape) * diag.max():
         q = r = None
-        return QRFactor(None, None, tall, pseudo_inverse(a).pinv)
-    return QRFactor(q, r, tall)
+        return QRFactor(None, None, tall, pseudo_inverse(a).pinv, basis)
+    return QRFactor(q, r, tall, kernel=basis)
 
 
 def penrose_residuals(a: np.ndarray, a_pinv: np.ndarray) -> dict[str, float]:

@@ -32,18 +32,26 @@ from pairspec import (
     AlphaOneUnsupported,
     ConfigError,
     Dims,
+    EnsembleParams,
     ExperimentConfig,
     cmd_boundary,
     cmd_sample,
     cmd_sweep,
     cmd_verify,
+    coverage,
     default_zero_tol,
     derive_seed,
+    disc_support,
+    ellipse_support,
     grand_mean,
+    normalised_radius,
+    penrose_residuals,
+    pseudo_inverse,
     reference_spectrum,
     sample_pair,
     spectrum,
     validate_config,
+    wa_identity_check,
 )
 import pairspec
 from pairspec import cli, empirical, harness
@@ -826,26 +834,15 @@ def _count_calls(monkeypatch, name, calls):
     monkeypatch.setattr(harness, name, counted)
 
 
-def _count_svd_calls(monkeypatch, calls):
-    """Count np.linalg.svd calls, from whichever module makes them."""
-    real = np.linalg.svd
+def _count_linalg_calls(monkeypatch, name, calls):
+    """Count np.linalg.<name> calls, from whichever module makes them."""
+    real = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
-        calls["svd"] += 1
+        calls[name] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
-
-
-def _count_eig_calls(monkeypatch, calls):
-    """Count np.linalg.eigvals calls, the eigensolve behind matalg.eigenvalues."""
-    real = np.linalg.eigvals
-
-    def counted(*args, **kwargs):
-        calls["eigvals"] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
 
 
 def _plant_rank_deficient_y(monkeypatch):
@@ -880,18 +877,21 @@ class TestTrialPipeline:
         _count_calls(monkeypatch, "qr_factor", calls)
         _count_calls(monkeypatch, "_support", calls)
         monkeypatch.setattr(empirical, "qr_factor", harness.qr_factor)
-        _count_svd_calls(monkeypatch, calls)
+        _count_linalg_calls(monkeypatch, "svd", calls)
+        _count_linalg_calls(monkeypatch, "qr", calls)
         cmd_verify(cfg, out_dir=tmp_path)
         # one pass over dims x trials, plus rotation's two seed-matched streams
         pairs = len(cfg.dims) * cfg.trials
         want = pairs + 2 * cfg.trials
-        # one QR factor, no SVD and one spectrum per full-rank pair; rotation
-        # reduces traces; one support per dims entry
+        # one QR factor, one Householder QR, no SVD and one spectrum per
+        # full-rank pair, zero_atoms' tall ones included; rotation reduces
+        # traces; one support per dims entry
         assert calls == {
             "sample_pair": want,
             "spectrum": pairs,
             "qr_factor": pairs,
             "_support": len(cfg.dims),
+            "qr": pairs,
         }
         assert calls["svd"] == 0
 
@@ -949,7 +949,7 @@ class TestTrialPipeline:
             checks=("mean_eigenvalue",),
         )
         calls = Counter()
-        _count_eig_calls(monkeypatch, calls)
+        _count_linalg_calls(monkeypatch, "eigvals", calls)
         got = harness._trial_records(cfg)["mean_eigenvalue"]
         assert calls["eigvals"] == 0  # with coverage off, no eigensolve runs
         for d_i, sums in enumerate(got):
@@ -970,7 +970,7 @@ class TestTrialPipeline:
         for checks in (("coverage",), cfg.checks):
             calls = Counter()
             with monkeypatch.context() as m:
-                _count_svd_calls(m, calls)
+                _count_linalg_calls(m, "svd", calls)
                 cmd_verify(replace(cfg, checks=checks), out_dir=tmp_path)
             assert calls["svd"] == cfg.trials
         report, _ = cmd_verify(cfg, out_dir=tmp_path)
@@ -1099,8 +1099,8 @@ class TestKernelCertificate:
         # 1e-9 * ||Y†|| in one entry of Y†; at (60, 59) it moves one kernel vector
         real = harness.qr_factor
 
-        def planted(y):  # a factor that holds the off Y† as its Y†
-            factor = real(y)
+        def planted(y, **kwargs):  # a factor that holds the off Y† as its Y†
+            factor = real(y, **kwargs)
             g = factor.pinv().copy()
             g[0, 0] += 1e-9 * np.linalg.norm(g)
             return dataclasses.replace(factor, q=None, r=None, svd_pinv=g)
@@ -1119,7 +1119,7 @@ class TestKernelCertificate:
         if planted:
             _plant_rank_deficient_y(monkeypatch)
         calls = Counter()
-        _count_eig_calls(monkeypatch, calls)
+        _count_linalg_calls(monkeypatch, "eigvals", calls)
         cfg = _fast_config(dims=((24, 12), (30, 7), (12, 24)), checks=("zero_atoms",))
         report, _ = cmd_verify(cfg, out_dir=tmp_path)
         assert report.checks[0].status == "pass"
@@ -1134,3 +1134,180 @@ class TestKernelCertificate:
             return harness._trial_records(cfg)["zero_atoms"]
 
         assert residuals(2.0**90, 2.0**-70) == residuals(1.0, 1.0)
+
+
+def _reference_records(cfg):
+    """Every per-pair record ``verify`` reduces for ``cfg``, from first principles.
+
+    The slow path that ``harness._trial_records`` is held to.  Each pair is
+    drawn at derive_seed(base_seed, stream base + counter), not through
+    ``harness._pairs``; Y† is ``pseudo_inverse``'s SVD, every eigenvalue
+    comes from the full N x N ``reference_spectrum``, product ordering from
+    ``wa_identity_check``, and zeros are counted under ``default_zero_tol``.
+    A ``zero_atoms`` record is 0 where the pair has at least n - p zeros and
+    1 where it has fewer, so ``_check_zero_atoms`` reads it as a residual
+    that passes or fails.  Traces are eigenvalue sums; rotation draws its
+    own seed-matched pairs.  Returns the records, keyed and shaped as
+    ``_trial_records``' are, and beside them each pair's reference spectrum
+    (under "coverage") and each trace's Cauchy-Schwarz scale,
+    ||X||_F ||Y†||_F or ||X||_F ||Y||_F (under "mean_eigenvalue" and
+    "rotation").
+    """
+    on, kind = set(cfg.checks), cfg.product_kind
+    params = cfg.ensemble_params()
+    records = {name: [[] for _ in cfg.dims] for name in CHECK_NAMES}
+    extras = {name: [[] for _ in cfg.dims] for name in ("coverage", "mean_eigenvalue")}
+    for d_i, (n, p) in enumerate(cfg.dims):
+        try:
+            support = (ellipse_support if kind == CONJ_TRANSPOSE else disc_support)(
+                params, p / n
+            )
+        except AlphaOneUnsupported as exc:
+            support = exc
+        for trial in range(cfg.trials):
+            counter = harness._SAMPLE_SEED_BASE + d_i * cfg.trials + trial
+            pair = harness.sample_pair(params, Dims(n, p), derive_seed(cfg.base_seed, counter))
+            x, y = pair.x_mat, pair.y_mat
+            pinv = pseudo_inverse(y).pinv
+            sample = reference_spectrum(pair, kind)
+            if "penrose" in on:
+                records["penrose"][d_i].append(max(penrose_residuals(y, pinv).values()))
+            if "weinstein_aronszajn" in on:
+                records["weinstein_aronszajn"][d_i].append(wa_identity_check(pair))
+            if "zero_atoms" in on and p < n:
+                eigs = reference_spectrum(pair, PSEUDO_INVERSE).eigs
+                zeros = np.count_nonzero(np.abs(eigs) <= default_zero_tol(eigs))
+                records["zero_atoms"][d_i].append(0.0 if zeros >= n - p else 1.0)
+            if "coverage" in on and not isinstance(support, AlphaOneUnsupported):
+                records["coverage"][d_i].append(coverage(sample, support, cfg.margin))
+                extras["coverage"][d_i].append((sample.eigs, support))
+            if "mean_eigenvalue" in on:
+                g = pinv if kind == PSEUDO_INVERSE else y.conj().T
+                records["mean_eigenvalue"][d_i].append(complex(np.sum(sample.eigs)))
+                extras["mean_eigenvalue"][d_i].append(np.linalg.norm(x) * np.linalg.norm(g))
+        if "coverage" in on and isinstance(support, AlphaOneUnsupported):
+            records["coverage"][d_i] = support
+    if "rotation" in on:
+        tau = cfg.tau if abs(cfg.tau) > 1e-12 else 0.5 + 0.0j
+        ensembles = [
+            EnsembleParams(cfg.sigma_x, cfg.sigma_y, t, kind=COMPLEX_GENERAL)
+            for t in (tau, tau * cmath.exp(1j * harness.ROTATION_ANGLE))
+        ]
+        extras["rotation"] = []
+        for trial in range(cfg.trials):
+            seed = derive_seed(cfg.base_seed, harness._ROTATION_SEED_BASE + trial)
+            pairs = [harness.sample_pair(e, Dims(*cfg.dims[0]), seed) for e in ensembles]
+            records["rotation"][0].append(
+                tuple(complex(np.sum(reference_spectrum(q, CONJ_TRANSPOSE).eigs)) for q in pairs)
+            )
+            extras["rotation"].append(
+                [np.linalg.norm(q.x_mat) * np.linalg.norm(q.y_mat) for q in pairs]
+            )
+    return records, extras
+
+
+def _near_a_threshold(eigs, support, margin):
+    """Whether an eigenvalue lies within 1e-9 of the boundary or of the zero rule.
+
+    Within 1e-9 of normalised radius 1, or with |lambda| within 1e-9 times
+    the largest |lambda| of ``default_zero_tol``: there two correct paths
+    may classify it differently.
+    """
+    radius = normalised_radius(support, eigs, margin)
+    size = np.abs(eigs)
+    return bool(
+        np.any(np.abs(radius - 1.0) <= 1e-9)
+        or np.any(np.abs(size - default_zero_tol(eigs)) <= 1e-9 * size.max())
+    )
+
+
+def _gate_is_tied(check, slack):
+    """Whether a mean check's deviation sits within ``slack`` of its gate.
+
+    ``mean_eigenvalue`` and ``rotation`` pass at deviation <= 4 SE, or
+    <= 1e-9 at SE 0; where the traces are equal to rounding in every trial
+    (X Y† at |tau| = 1) both sides of that test are rounding noise.
+    """
+    stats = check.stats
+    pairs = [(d["deviation"], d["standard_error"]) for d in stats.get("per_dims", [])]
+    if check.name == "rotation":
+        pairs = [(stats["mean_deviation"], stats["joint_standard_error"])]
+    gates = [(dev, harness.SE_SIGMAS * se if se > 0.0 else 1e-9) for dev, se in pairs]
+    return any(abs(dev - gate) <= slack for dev, gate in gates)
+
+
+class TestReferenceVerify:
+    """verify's trial pipeline against the reference built from first principles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.lists(
+            st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=2
+        ),
+        trials=st.integers(1, 3),
+        kind=st.sampled_from(KINDS),
+        product_kind=st.sampled_from(PRODUCT_KINDS),
+        modulus=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        planted=st.booleans(),
+        checks=st.sets(st.sampled_from(CHECK_NAMES), min_size=1),
+        base_seed=st.integers(0, 2**16),
+    )
+    def test_statuses_and_records_match_the_reference(
+        self, dims, trials, kind, product_kind, modulus, phase, planted, checks, base_seed
+    ):
+        tau = modulus * cmath.exp(1j * phase) if kind == COMPLEX_GENERAL else -modulus
+        cfg = ExperimentConfig(
+            kind=kind, tau=tau, dims=tuple(dims), trials=trials, product_kind=product_kind,
+            checks=tuple(c for c in CHECK_NAMES if c in checks), base_seed=base_seed,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            # the plant copies column 2 into 5 of a tall Y, row 3 into 7 of a wide one
+            if planted and all(p >= 6 if p < n else n >= 8 for n, p in dims):
+                _plant_rank_deficient_y(mp)
+            with blas_single_thread():
+                got = harness._trial_records(cfg)
+                want, extras = _reference_records(cfg)
+        # the same records, in the same places; a disabled check records nothing
+        for name in CHECK_NAMES:
+            for mine, ref in zip(got[name], want[name], strict=True):
+                if isinstance(ref, AlphaOneUnsupported):
+                    assert isinstance(mine, AlphaOneUnsupported)
+                else:
+                    assert len(mine) == len(ref)
+        for traces, refs, scales in zip(
+            got["mean_eigenvalue"], want["mean_eigenvalue"], extras["mean_eigenvalue"]
+        ):
+            for trace, ref, scale in zip(traces, refs, scales):
+                assert abs(trace - ref) <= 1e-9 * scale
+        for sums, refs, scales in zip(
+            got["rotation"][0], want["rotation"][0], extras.get("rotation", [])
+        ):
+            for trace, ref, scale in zip(sums, refs, scales):
+                assert abs(trace - ref) <= 1e-9 * scale
+        # a certified kernel is a kernel: the reference counts n - p zeros
+        for residuals, refs in zip(got["zero_atoms"], want["zero_atoms"]):
+            for residual, ref in zip(residuals, refs):
+                assert residual > harness.KERNEL_TOL or ref == 0.0
+        # coverage counts agree unless an eigenvalue sits on a threshold
+        ties = False
+        for reps, refs, spectra in zip(got["coverage"], want["coverage"], extras["coverage"]):
+            if isinstance(refs, AlphaOneUnsupported):
+                continue
+            for rep, ref, (eigs, support) in zip(reps, refs, spectra):
+                if (rep.outlier_count, rep.zero_count) != (ref.outlier_count, ref.zero_count):
+                    assert _near_a_threshold(eigs, support, cfg.margin)
+                    ties = True
+        # the means' gates agree unless the traces' tolerance can tip them
+        slack = 1e-8 * max(
+            [s for block in extras["mean_eigenvalue"] for s in block]
+            + [s for pair in extras.get("rotation", []) for s in pair],
+            default=0.0,
+        )
+        for name in cfg.checks:
+            mine, ref = (harness._CHECK_FUNCS[name](cfg, r[name]) for r in (got, want))
+            if (name == "coverage" and ties) or (
+                name in ("mean_eigenvalue", "rotation") and _gate_is_tied(ref, slack)
+            ):
+                continue
+            assert mine.status == ref.status, name
