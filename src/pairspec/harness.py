@@ -273,35 +273,35 @@ def _sweep_p(alpha: float, n0: int) -> int:
 def _trial_bytes(n: int, p: int, itemsize: int) -> int:
     """Peak bytes of one verify trial at (n, p); its steps run one at a time.
 
-    In matrix entries, with m = max(n, p), s = min(n, p) and q = n^2
-    where p < n, else 0 (the complete Q that ``zero_atoms`` asks of
-    :func:`qr_factor`, alive from the factor step through the reduce,
-    pinv and certificate steps): the pair, 2np, alive throughout, and the
-    largest of the steps, one of: the SVD that :func:`qr_factor` runs in
-    place of Q and R wherever R is numerically singular, which any pair
-    may take (numpy's copy of Y, U, Vh and the solver's real workspace)
-    or the pseudo-inverse built from them, beside Q, 4np + 5s^2 + q; the
+    In matrix entries, with m = max(n, p), s = min(n, p) and t = np where
+    p < n, else 0 (the reduced Q that :func:`qr_factor` keeps for the
+    kernel certificate when Y is tall, also where R is numerically
+    singular): the pair, 2np, alive throughout, and the largest of the
+    steps, one of: the SVD that :func:`qr_factor` runs in place of R
+    wherever R is numerically singular, which any pair may take (numpy's
+    copy of Y, U, Vh and the solver's real workspace) or the
+    pseudo-inverse built from them, beside Q, 4np + 5s^2 + t; the
     SVD-held factor's n x n reduced matrix X Y† and its eigensolve, beside
-    Y† and Q, np + 2n^2 + q: np + 3q where p < n, else under the SVD's
-    term; the Penrose check, the pseudo-inverse, one square product, a
-    quarter-size block of its Hermitian residual and two np-sized residual
-    terms, 3np + 5m^2/4; or the determinant-form product-ordering check,
-    both products and LAPACK's LU copy of one, under 2m^2 + s^2 entries
-    that are complex whatever the kind.  The rest peak lower: the complete
-    QR (numpy's and LAPACK's copies of Y, Q and LAPACK's copy of it),
-    2np + 2q, before Y† exists, and the certificate (Q, R's n x p array,
-    Y†, Y†·Q⊥ and X·Y†·Q⊥), 2np + 2q - p^2, both under the mean of the
-    first two terms; X Y†'s reduced matrix and Y† from the factor (Q, R's
-    array, Q's conjugate, the solver's copies, the result) under the SVD's
-    term; the reduced QR (numpy's copies of Y or Y*, Q and R) under
-    4np + s^2; sampling, 3np.  Q and R are freed before the square
+    Y† and Q, np + 2n^2 + t, under the SVD's term where p >= n; the
+    Penrose check, the pseudo-inverse, one square product, a quarter-size
+    block of its Hermitian residual and two np-sized residual terms,
+    3np + 5m^2/4; or the determinant-form product-ordering check, both
+    products and LAPACK's LU copy of one, under 2m^2 + s^2 entries that
+    are complex whatever the kind.  The rest peak lower: the reduced QR
+    (numpy's copies of Y or Y*, Q and R) under 4np + s^2; X Y†'s reduced
+    matrix and Y† from the factor (Q, R, Q's conjugate, the solver's
+    copies, the result) under the SVD's term; the kernel certificate at
+    p < n, beside Q, R and Y†, first Y†Q, Q's conjugate, (Y†Q)Q* and its
+    difference from Y†, under 4np + 2p^2, then the n x n X (Y† - (Y†Q)Q*),
+    3np + p^2 + n^2, under the SVD's term where p >= n/2 and the Penrose
+    check's below; sampling, 3np.  Q and R are freed before the square
     products.  Rotation's one complex pair peaks at 48np bytes whatever
     the kind, under the real trial's 16np + 8(4np + 5s^2).  Left out: O(m)
     workspace, OpenBLAS's buffers and the interpreter itself.
     """
     m, s, np_ = max(n, p), min(n, p), n * p
-    q = n * n if p < n else 0  # zero_atoms' complete Q
-    steps = max(4 * np_ + 5 * s * s + q, 3 * np_ + 5 * m * m // 4, np_ + 3 * q)
+    t = np_ if p < n else 0  # the tall factor's Q, kept beside the SVD
+    steps = max(4 * np_ + 5 * s * s + t, np_ + 2 * n * n + t, 3 * np_ + 5 * m * m // 4)
     return 2 * np_ * itemsize + max(steps * itemsize, (2 * m * m + s * s) * 16)
 
 
@@ -433,14 +433,14 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
     entry's list.  The pairs come from :func:`_pairs`, as ``cmd_sample``'s
     do.
 
-    Y is factored once per pair, by :func:`qr_factor`, and that factor
-    feeds X Y†'s reduced matrix (its eigensolve for ``coverage``, its
-    trace for ``mean_eigenvalue``), then the explicit Y† that ``penrose``
-    reads and, for ``zero_atoms`` at p < n, the kernel certificate from
-    the same, complete, QR, so the N x N X Y† is never formed.  Q and R
-    are freed before the square products.  Where R is numerically singular
-    the factor holds the SVD's Y†: one SVD per pair, and no branch here.
-    The trace of X Y* is ``vdot(Y, X)``.  No eigensolve runs for
+    Y is factored once per pair, by one reduced QR in :func:`qr_factor`,
+    and that factor feeds X Y†'s reduced matrix (its eigensolve for
+    ``coverage``, its trace for ``mean_eigenvalue``), then the explicit Y†
+    that ``penrose`` reads and, for ``zero_atoms`` at p < n, the kernel
+    certificate, which projects Y† through I - QQ*.  Q and R are freed
+    before the square products.  Where R is numerically singular the
+    factor holds the SVD's Y†: one SVD per pair, and no branch here.  The
+    trace of X Y* is ``vdot(Y, X)``.  No eigensolve runs for
     ``mean_eigenvalue`` or ``zero_atoms``.  Everything runs on the calling
     thread, one step at a time (see :func:`_trial_bytes`).
     """
@@ -472,7 +472,7 @@ def _trial_records(config: ExperimentConfig) -> dict[str, list[list[Any]]]:
                 trace = complex(np.vdot(y, x)) if mean else None
                 sample = spectrum(pair, kind) if support is not None else None
             if factored:
-                factor = qr_factor(y, kernel=zeros)
+                factor = qr_factor(y)
                 if reduce:
                     m = factor.reduced(x)
                     trace = complex(np.trace(m))
@@ -546,11 +546,13 @@ def _check_wa(config: ExperimentConfig, records: list[list]) -> CheckResult:
 def _check_zero_atoms(config: ExperimentConfig, records: list[list]) -> CheckResult:
     """X Y† at p < n: its kernel holds n - p orthonormal vectors, so >= n - p zeros.
 
-    Each record is a pair's :meth:`QRFactor.kernel_residual`.  A residual
-    above KERNEL_TOL fails fatally: that pair's n - p zeros are not
-    certified.  ``min_zero_count`` is the fewest zeros certified in one
-    trial, n - p when every residual passes and 0 otherwise.  Only "at
-    least" is exact, so no zero fraction is judged; and no eigensolve runs.
+    Each record is a pair's :meth:`QRFactor.kernel_residual`, which reads
+    the kernel as range(Y)'s complement, I - QQ*, from the reduced QR that
+    also gives Y†.  A residual above KERNEL_TOL fails fatally: that pair's
+    n - p zeros are not certified.  ``min_zero_count`` is the fewest zeros
+    certified in one trial, n - p when every residual passes and 0
+    otherwise.  Only "at least" is exact, so no zero fraction is judged;
+    and no eigensolve runs.
     """
     rect = [(n, p, r) for (n, p), r in zip(config.dims, records) if p < n]
     if not rect:

@@ -1,10 +1,10 @@
 """Dense matrix kernels: pseudo-inverses, Penrose checks, spectra.
 
 Thin, validating wrappers around LAPACK via numpy.  How Y is factored is
-decided here and nowhere else: :func:`qr_factor` runs one QR of Y for Y†,
-X Y†'s spectrum matrix and, on request, Y†'s kernel certificate; where R is
-numerically singular the same factor carries the SVD pseudo-inverse
-instead, so no caller branches on Y's rank.  :func:`pseudo_inverse` is
+decided here and nowhere else: :func:`qr_factor` runs one reduced QR of Y
+for Y†, X Y†'s spectrum matrix and Y†'s kernel certificate; where R is
+numerically singular the same factor carries the SVD pseudo-inverse in
+place of R, so no caller branches on Y's rank.  :func:`pseudo_inverse` is
 that SVD, and the reference path: it applies an explicit relative cutoff
 so that the effective rank is part of the result.  Both tests of rank use
 one cutoff, max(N, P) * eps relative to the largest value.  Eigenvalue
@@ -88,17 +88,16 @@ class QRFactor:
 
     For P < N it factors Y = QR, so Y† = R^-1 Q*; for P >= N it factors
     Y* = QR, so Y† = Q R^-* = (R^-1 Q*)*.  R is min(N, P) square.  Where R
-    is numerically singular, Q and R are None and ``svd_pinv`` holds
-    :func:`pseudo_inverse`'s Y†, which the methods return from.  ``kernel``
-    is Q⊥, the rest of a complete Q, where asked for and P < N; the SVD
-    case keeps it, as it is orthogonal to range(Y) whatever Y's rank.
+    is numerically singular, R is None and ``svd_pinv`` holds
+    :func:`pseudo_inverse`'s Y†, which the methods return from; Q is kept
+    only for P < N, where its span still holds range(Y), so that I - QQ*
+    still projects into Y†'s kernel.
     """
 
     q: np.ndarray | None
     r: np.ndarray | None
     tall: bool  # P < N: Y = QR; otherwise Y* = QR
     svd_pinv: np.ndarray | None = None
-    kernel: np.ndarray | None = None  # Q⊥, N x (N - P)
 
     def reduced(self, x: np.ndarray) -> np.ndarray:
         """The matrix whose eigenvalues are X Y†'s, less any padded zeros.
@@ -123,35 +122,32 @@ class QRFactor:
         return g if self.tall else g.conj().T
 
     def kernel_residual(self, x: np.ndarray, pinv: np.ndarray) -> float:
-        """||X (Y† Q⊥)||_F / (||X||_F ||Y†||_F), ``pinv`` being Y†; 0 for a zero product.
+        """||X (Y† - (Y† Q) Q*)||_F / (||X||_F ||Y†||_F) for P < N, ``pinv`` being Y†.
 
-        At rounding level it shows Q⊥'s N - P orthonormal columns to be
-        kernel vectors of X Y†: N - P zero eigenvalues, with no eigensolve.
+        I - QQ* projects onto range(Y)'s orthogonal complement, N - P
+        orthonormal directions; at rounding level the residual shows them
+        to be kernel vectors of X Y†: N - P zero eigenvalues, with no
+        eigensolve.  A zero product reads 0.
         """
-        residual = float(np.linalg.norm(x @ (pinv @ self.kernel)))
+        residual = float(np.linalg.norm(x @ (pinv - (pinv @ self.q) @ self.q.conj().T)))
         return residual / float(np.linalg.norm(x) * np.linalg.norm(pinv)) if residual else 0.0
 
 
-def qr_factor(a: np.ndarray, kernel: bool = False) -> QRFactor:
+def qr_factor(a: np.ndarray) -> QRFactor:
     """Factor ``a`` (or a* when it is not tall) by one reduced QR.
 
-    With ``kernel`` and a tall ``a`` it is complete instead, and Q, R and
-    ``kernel`` are views of its factors.  Where R is numerically singular,
-    min |r_ii| <= max(N, P) * eps * max |r_ii| (the SVD's own cutoff
-    scale), the factor holds ``pseudo_inverse(a).pinv`` in place of Q and R.
+    Where R is numerically singular, min |r_ii| <= max(N, P) * eps *
+    max |r_ii| (the SVD's own cutoff scale), the factor holds
+    ``pseudo_inverse(a).pinv`` in place of R, and of Q unless ``a`` is tall.
     """
     a = _as_matrix(a, "qr_factor")
-    s = min(a.shape)
-    tall = s < a.shape[0]
-    complete = kernel and tall
-    q, r = np.linalg.qr(a if tall else a.conj().T, mode="complete" if complete else "reduced")
-    basis = q[:, s:] if complete else None
-    q, r = q[:, :s], r[:s]
+    tall = a.shape[1] < a.shape[0]
+    q, r = np.linalg.qr(a if tall else a.conj().T)
     diag = np.abs(np.diagonal(r))
     if not diag.min() > _rank_rtol(a.shape) * diag.max():
-        q = r = None
-        return QRFactor(None, None, tall, pseudo_inverse(a).pinv, basis)
-    return QRFactor(q, r, tall, kernel=basis)
+        q, r = (q if tall else None), None  # R goes before the SVD; a tall Q stays
+        return QRFactor(q, None, tall, pseudo_inverse(a).pinv)
+    return QRFactor(q, r, tall)
 
 
 def penrose_residuals(a: np.ndarray, a_pinv: np.ndarray) -> dict[str, float]:

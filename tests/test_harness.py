@@ -958,6 +958,25 @@ class TestTrialPipeline:
                 assert abs(trace - np.sum(eigs)) <= 1e-12 * float(np.sum(np.abs(eigs)))
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_records_are_the_library_paths_bit_for_bit(self, kind):
+        # with zero_atoms on, verify still factors Y as spectrum() does
+        cfg = _fast_config(
+            kind=kind,
+            tau=0.3 if kind != COMPLEX_GENERAL else 0.3 + 0.2j,
+            dims=((60, 30), (30, 60)),
+            base_seed=7,
+            checks=("zero_atoms", "coverage", "mean_eigenvalue"),
+        )
+        records = harness._trial_records(cfg)
+        for d_i, (n, p) in enumerate(cfg.dims):
+            support = disc_support(cfg.ensemble_params(), p / n)
+            got = zip(records["coverage"][d_i], records["mean_eigenvalue"][d_i], strict=True)
+            for (report, trace), pair in zip(got, harness._pairs(cfg, d_i), strict=True):
+                sample = spectrum(pair, PSEUDO_INVERSE)
+                assert report == coverage(sample, support, cfg.margin)
+                assert trace == complex(np.trace(harness.qr_factor(pair.y_mat).reduced(pair.x_mat)))
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_rank_deficient_y_takes_the_svd_fallback(self, tmp_path, monkeypatch, kind):
         _plant_rank_deficient_y(monkeypatch)
         cfg = _fast_config(
@@ -1099,11 +1118,11 @@ class TestKernelCertificate:
         # 1e-9 * ||Y†|| in one entry of Y†; at (60, 59) it moves one kernel vector
         real = harness.qr_factor
 
-        def planted(y, **kwargs):  # a factor that holds the off Y† as its Y†
-            factor = real(y, **kwargs)
+        def planted(y):  # a factor that holds the off Y† as its Y†, beside Y's Q
+            factor = real(y)
             g = factor.pinv().copy()
             g[0, 0] += 1e-9 * np.linalg.norm(g)
-            return dataclasses.replace(factor, q=None, r=None, svd_pinv=g)
+            return dataclasses.replace(factor, r=None, svd_pinv=g)
 
         monkeypatch.setattr(harness, "qr_factor", planted)
         cfg = _fast_config(kind=kind, dims=(dims,), checks=("zero_atoms",))
