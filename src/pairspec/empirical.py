@@ -154,6 +154,7 @@ def wa_determinant_check(pair: MatrixPair) -> tuple[bool, float]:
     """
     x, yh = pair.x_mat, pair.y_mat.conj().T
     products = [x @ yh, yh @ x]  # X Y* (N x N), Y* X (P x P)
+    del yh  # Y*, a conjugate copy for complex Y, goes before the LU copies
     products.sort(key=len, reverse=True)  # the smaller one is popped first
     radius = 1.5 * max(float(np.linalg.norm(m)) for m in products) or 1.0
     turn = np.random.default_rng(pair.seed).uniform(0.0, 2.0 * np.pi)

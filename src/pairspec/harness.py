@@ -287,9 +287,11 @@ def _trial_bytes(n: int, p: int, itemsize: int) -> int:
     block of its Hermitian residual and two np-sized residual terms,
     3np + 5m^2/4; or the determinant-form product-ordering check, both
     products and LAPACK's LU copy of one, under 2m^2 + s^2 entries that
-    are complex whatever the kind.  The rest peak lower: the reduced QR
-    (numpy's copies of Y or Y*, Q and R) under 4np + s^2; X Y†'s reduced
-    matrix and Y† from the factor (Q, R, Q's conjugate, the solver's
+    are complex whatever the kind.  The rest peak lower: the reduced QR (one
+    column-major copy of Y or Y* that LAPACK factors in place, Q's row-major
+    copy, R and the work array; or, where :func:`qr_factor` falls back to
+    np.linalg.qr, its copies of Y or Y*, Q and R) under 4np + s^2; X Y†'s
+    reduced matrix and Y† from the factor (Q, R, Q's conjugate, the solver's
     copies, the result) under the SVD's term; the kernel certificate at
     p < n, beside Q, R and Y†, first Y†Q, Q's conjugate, (Y†Q)Q* and its
     difference from Y†, under 4np + 2p^2, then the n x n X (Y† - (Y†Q)Q*),

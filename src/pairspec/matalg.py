@@ -4,20 +4,25 @@ Thin, validating wrappers around LAPACK via numpy.  How Y is factored is
 decided here and nowhere else: :func:`qr_factor` runs one reduced QR of Y
 for Y†, X Y†'s spectrum matrix and Y†'s kernel certificate; where R is
 numerically singular the same factor carries the SVD pseudo-inverse in
-place of R, so no caller branches on Y's rank.  :func:`pseudo_inverse` is
-that SVD, and the reference path: it applies an explicit relative cutoff
-so that the effective rank is part of the result.  Both tests of rank use
-one cutoff, max(N, P) * eps relative to the largest value.  Eigenvalue
-extraction maps LAPACK failure modes onto this package's error types.
-Real input stays real (float64), so it runs the cheaper real LAPACK
-routines; complex input is complex128.  :func:`blas_single_thread` pins
-OpenBLAS to one thread for a block of work.
+place of R, so no caller branches on Y's rank.  That QR runs in place, in
+one column-major copy of Y, through the LAPACK routines of the OpenBLAS
+that numpy itself calls, looked up at the first factorisation; where they
+are not loaded, np.linalg.qr runs instead, with the same bits.
+:func:`pseudo_inverse` is that SVD, and the reference path: it applies an
+explicit relative cutoff so that the effective rank is part of the result.
+Both tests of rank use one cutoff, max(N, P) * eps relative to the largest
+value.  Eigenvalue extraction maps LAPACK failure modes onto this
+package's error types.  Real input stays real (float64), so it runs the
+cheaper real LAPACK routines; complex input is complex128.
+:func:`blas_single_thread` pins OpenBLAS to one thread for a block of
+work.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import os
 import threading
@@ -91,7 +96,8 @@ class QRFactor:
     is numerically singular, R is None and ``svd_pinv`` holds
     :func:`pseudo_inverse`'s Y†, which the methods return from; Q is kept
     only for P < N, where its span still holds range(Y), so that I - QQ*
-    still projects into Y†'s kernel.
+    still projects into Y†'s kernel.  Q and R are np.linalg.qr's, bit for
+    bit, whichever way :func:`qr_factor` computed them.
     """
 
     q: np.ndarray | None
@@ -136,18 +142,71 @@ class QRFactor:
 def qr_factor(a: np.ndarray) -> QRFactor:
     """Factor ``a`` (or a* when it is not tall) by one reduced QR.
 
-    Where R is numerically singular, min |r_ii| <= max(N, P) * eps *
-    max |r_ii| (the SVD's own cutoff scale), the factor holds
-    ``pseudo_inverse(a).pinv`` in place of R, and of Q unless ``a`` is tall.
+    The QR runs as ?geqrf then ?orgqr (?ungqr for complex entries) on one
+    column-major copy of ``a`` or a*, in the OpenBLAS that numpy calls; Q
+    comes back row-major.  Where that library's routines are not loaded,
+    np.linalg.qr runs instead, which computes the same Q and R through
+    about four copies.  Where R is numerically singular, min |r_ii| <=
+    max(N, P) * eps * max |r_ii| (the SVD's own cutoff scale), the factor
+    holds ``pseudo_inverse(a).pinv`` in place of R, and of Q unless ``a``
+    is tall.
     """
     a = _as_matrix(a, "qr_factor")
     tall = a.shape[1] < a.shape[0]
-    q, r = np.linalg.qr(a if tall else a.conj().T)
+    routines = _lapack_qr().get(a.dtype)
+    if routines is None:
+        q, r = np.linalg.qr(a if tall else a.conj().T)
+    else:
+        q, r = _householder_qr(a, tall, *routines)
     diag = np.abs(np.diagonal(r))
     if not diag.min() > _rank_rtol(a.shape) * diag.max():
         q, r = (q if tall else None), None  # R goes before the SVD; a tall Q stays
         return QRFactor(q, None, tall, pseudo_inverse(a).pinv)
     return QRFactor(q, r, tall)
+
+
+def _householder_qr(
+    a: np.ndarray, tall: bool, geqrf: Callable[..., None], orgqr: Callable[..., None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced Q and R of ``a`` (or a* when not ``tall``), factored in one copy.
+
+    The copy is column-major, as LAPACK wants it: ``geqrf`` leaves R in its
+    upper triangle and the Householder vectors below, then ``orgqr`` (or
+    ``ungqr``) overwrites it with Q, which is returned in row-major order.
+    Both run with the workspace sizes np.linalg.qr gives them, so Q and R
+    are its bits.
+    """
+    # a* in column-major order is conj(a) in row-major order, transposed
+    buf = a.copy(order="F") if tall else np.conjugate(a, order="C").T
+    m, k = buf.shape  # m >= k
+    tau = np.empty(k, buf.dtype)
+    m_ref, k_ref = ctypes.byref(ctypes.c_int64(m)), ctypes.byref(ctypes.c_int64(k))
+    matrix = (buf.ctypes.data, m_ref, tau.ctypes.data)  # A, LDA = M, TAU
+    doubles = buf.itemsize // 8  # float64 values per entry
+    _lapack_call(geqrf, (m_ref, k_ref, *matrix), k, doubles)
+    r = np.triu(buf[:k])
+    _lapack_call(orgqr, (m_ref, k_ref, k_ref, *matrix), k, doubles)
+    return np.ascontiguousarray(buf), r
+
+
+def _lapack_call(routine: Callable[..., None], args: tuple, cols: int, doubles: int) -> None:
+    """routine(*args, WORK, LWORK, INFO), its workspace sized as numpy sizes it.
+
+    A workspace query first, then the call with max(1, cols, optimal)
+    entries of workspace, as numpy's own LAPACK calls take them; an entry
+    is ``doubles`` float64 values.
+    """
+    lwork, info = ctypes.c_int64(-1), ctypes.c_int64(0)
+
+    def call(work: ctypes.Array) -> None:
+        routine(*args, work, ctypes.byref(lwork), ctypes.byref(info))
+        if info.value:
+            raise ValueError(f"LAPACK rejected its argument {-info.value}")
+
+    query = (ctypes.c_double * doubles)()
+    call(query)
+    lwork.value = max(1, cols, int(query[0]))  # the optimal size is the real part
+    call((ctypes.c_double * (doubles * lwork.value))())
 
 
 def penrose_residuals(a: np.ndarray, a_pinv: np.ndarray) -> dict[str, float]:
@@ -265,8 +324,8 @@ class _PhdrInfo(ctypes.Structure):
     _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
 
 
-def _openblas_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
-    """(get, set) thread-count functions of every OpenBLAS already loaded.
+def _loaded_openblas() -> list[ctypes.CDLL]:
+    """Every OpenBLAS already loaded into the process, as ctypes handles.
 
     The loaded libraries are listed with dl_iterate_phdr and reopened with
     RTLD_NOLOAD, so nothing new is loaded.  Empty where the platform has
@@ -291,12 +350,19 @@ def _openblas_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]
 
     callback = visit_type(visit)  # referenced until the call returns
     iterate(callback, None)
-    controls = []
+    libs = []
     for name in names:
         try:
-            lib = ctypes.CDLL(os.fsdecode(name), mode=noload)
+            libs.append(ctypes.CDLL(os.fsdecode(name), mode=noload))
         except OSError:
             continue
+    return libs
+
+
+def _openblas_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) thread-count functions of every OpenBLAS already loaded."""
+    controls = []
+    for lib in _loaded_openblas():
         for get_name, set_name in _OPENBLAS_GET_SET:
             if hasattr(lib, get_name) and hasattr(lib, set_name):
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
@@ -305,6 +371,38 @@ def _openblas_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]
                 controls.append((get, set_))
                 break
     return controls
+
+
+# LAPACK's reduced QR as numpy's bundled OpenBLAS (scipy-openblas64, 64-bit
+# integers) exports it, by entry type: the factorisation, then Q from it.
+_QR_ROUTINES = {
+    np.dtype(np.float64): ("scipy_dgeqrf_64_", "scipy_dorgqr_64_"),
+    np.dtype(np.complex128): ("scipy_zgeqrf_64_", "scipy_zungqr_64_"),
+}
+
+
+@functools.cache
+def _lapack_qr() -> dict[np.dtype, tuple[Callable[..., None], Callable[..., None]]]:
+    """(?geqrf, ?orgqr or ?ungqr) by entry type, from the loaded OpenBLAS.
+
+    Looked up once per process, at the first call, among the libraries
+    :func:`blas_single_thread` pins.  Empty where no loaded library exports
+    all four routines; :func:`qr_factor` then runs np.linalg.qr.
+    """
+    int_p, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    for lib in _loaded_openblas():
+        if not all(hasattr(lib, name) for pair in _QR_ROUTINES.values() for name in pair):
+            continue
+        found = {}
+        for dtype, names in _QR_ROUTINES.items():
+            geqrf, orgqr = (getattr(lib, name) for name in names)
+            # M, N (and K for ?orgqr), A, LDA, TAU, WORK, LWORK, INFO
+            geqrf.argtypes = [int_p] * 2 + [ptr, int_p, ptr, ptr, int_p, int_p]
+            orgqr.argtypes = [int_p] * 3 + [ptr, int_p, ptr, ptr, int_p, int_p]
+            geqrf.restype = orgqr.restype = None
+            found[dtype] = (geqrf, orgqr)
+        return found
+    return {}
 
 
 _pin_lock = threading.Lock()

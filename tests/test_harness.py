@@ -54,7 +54,7 @@ from pairspec import (
     wa_identity_check,
 )
 import pairspec
-from pairspec import cli, empirical, harness
+from pairspec import cli, empirical, harness, matalg
 from pairspec.cli import main
 from pairspec.harness import EQUIV_DRAWS
 from pairspec.matalg import blas_single_thread
@@ -879,11 +879,18 @@ class TestTrialPipeline:
         monkeypatch.setattr(empirical, "qr_factor", harness.qr_factor)
         _count_linalg_calls(monkeypatch, "svd", calls)
         _count_linalg_calls(monkeypatch, "qr", calls)
+        householder_qr = matalg._householder_qr
+        monkeypatch.setattr(
+            matalg,
+            "_householder_qr",
+            lambda *args: calls.update(["in_place_qr"]) or householder_qr(*args),
+        )
         cmd_verify(cfg, out_dir=tmp_path)
         # one pass over dims x trials, plus rotation's two seed-matched streams
         pairs = len(cfg.dims) * cfg.trials
         want = pairs + 2 * cfg.trials
-        # one QR factor, one Householder QR, no SVD and one spectrum per
+        # one QR factor, one Householder QR (in place where LAPACK's routines
+        # are found, else np.linalg.qr), no SVD and one spectrum per
         # full-rank pair, zero_atoms' tall ones included; rotation reduces
         # traces; one support per dims entry
         assert calls == {
@@ -891,9 +898,23 @@ class TestTrialPipeline:
             "spectrum": pairs,
             "qr_factor": pairs,
             "_support": len(cfg.dims),
-            "qr": pairs,
+            "in_place_qr" if matalg._lapack_qr() else "qr": pairs,
         }
         assert calls["svd"] == 0
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX_GENERAL])
+    def test_numpy_qr_in_place_of_lapack_gives_the_same_bytes(self, tmp_path, monkeypatch, kind):
+        cfg = _fast_config(kind=kind, dims=((48, 24), (24, 48), (30, 30)), checks=CHECK_NAMES)
+        outputs = []
+        for run in ("found", "forced_empty"):
+            if run == "forced_empty":
+                monkeypatch.setattr(matalg, "_lapack_qr", lambda: {})
+            out = tmp_path / run
+            csv = cmd_sample(cfg, out_dir=out).read_bytes()
+            report = json.loads(cmd_verify(cfg, out_dir=out)[1].read_text())
+            report.pop("wall_time_s")
+            outputs.append((csv, report))
+        assert outputs[0] == outputs[1]
 
     def test_rotation_reduces_traces_of_each_pair_drawn_once(self, tmp_path, monkeypatch):
         cfg = _fast_config(dims=((24, 40),), trials=4, checks=("rotation",))

@@ -1,7 +1,10 @@
 """Pseudo-inverse, Penrose diagnostics, eigensolver wrapper, matching."""
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +231,91 @@ class TestQRFactor:
         y[1, 1] = np.nan
         with pytest.raises(NonFinite):
             qr_factor(y)
+
+
+def _in_place_qr_or_skip():
+    if not matalg._lapack_qr():
+        pytest.skip("no loaded OpenBLAS exports LAPACK's QR routines")
+
+
+class TestInPlaceQR:
+    """qr_factor's in-place LAPACK QR against np.linalg.qr, the reference path."""
+
+    @pytest.mark.parametrize(
+        "n, p", [(1, 1), (9, 1), (1, 9), (40, 17), (17, 40), (25, 25), (300, 140), (140, 300)]
+    )
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_q_and_r_are_numpy_qr_bit_for_bit(self, monkeypatch, n, p, complex_entries):
+        _in_place_qr_or_skip()
+        y = _gaussian(n, p, seed=n * p, complex_entries=complex_entries)
+        with blas_single_thread():  # LAPACK's bits depend on its thread count
+            q, r = np.linalg.qr(y if p < n else y.conj().T)
+            monkeypatch.setattr(np.linalg, "qr", None)  # only the in-place QR can run
+            factor = qr_factor(y)
+        assert factor.q.dtype == q.dtype and factor.r.dtype == r.dtype
+        assert np.array_equal(factor.q, q) and np.array_equal(factor.r, r)
+        assert factor.q.flags.c_contiguous
+        assert factor.tall == (p < n)
+
+    def test_y_that_is_not_contiguous_is_factored_as_a_copy(self):
+        _in_place_qr_or_skip()
+        y = _gaussian(60, 40, seed=5)
+        for view in (y[::2], y[:, ::2], y.T):  # (30, 40), (60, 20) and (40, 60)
+            before = view.copy()
+            with blas_single_thread():
+                factor = qr_factor(view)
+                q, r = np.linalg.qr(view if factor.tall else view.conj().T)
+            assert np.array_equal(factor.q, q) and np.array_equal(factor.r, r)
+            assert np.array_equal(view, before)
+
+    @pytest.mark.parametrize("n, p", [(30, 12), (12, 30), (12, 12)])
+    def test_planted_rank_deficient_y_takes_the_svd_path(self, monkeypatch, n, p):
+        _in_place_qr_or_skip()
+        y = _gaussian(n, p, seed=3)
+        if p <= n:
+            y[:, 5] = y[:, 2]
+        else:
+            y[7, :] = y[3, :]
+        ref = pseudo_inverse(y)
+        monkeypatch.setattr(np.linalg, "qr", None)
+        factor = qr_factor(y)
+        assert factor.r is None
+        assert np.array_equal(factor.svd_pinv, ref.pinv)
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (40, 17), (17, 40), (25, 25)])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_without_the_routines_numpy_qr_runs(self, monkeypatch, n, p, complex_entries):
+        y = _gaussian(n, p, seed=n + p, complex_entries=complex_entries)
+        calls = []
+        real_qr = np.linalg.qr
+        with blas_single_thread():
+            fast = qr_factor(y)
+            monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or real_qr(a))
+            monkeypatch.setattr(matalg, "_lapack_qr", lambda: {})
+            slow = qr_factor(y)
+        assert calls == [(max(n, p), min(n, p))]
+        assert np.array_equal(slow.q, fast.q) and np.array_equal(slow.r, fast.r)
+
+    def test_found_wherever_openblas_is_pinned(self):
+        # a numpy wheel that stops exporting the routines fails here, rather
+        # than falling back to np.linalg.qr unseen
+        with blas_single_thread() as pinned:
+            if not pinned:
+                pytest.skip("no OpenBLAS to pin")
+        assert set(matalg._lapack_qr()) == {np.dtype(np.float64), np.dtype(np.complex128)}
+
+    def test_looked_up_at_the_first_factorisation_not_at_import(self):
+        code = (
+            "import numpy as np, pairspec\n"
+            "from pairspec import matalg\n"
+            "assert matalg._lapack_qr.cache_info().currsize == 0\n"
+            "pairspec.qr_factor(np.eye(3))\n"
+            "assert matalg._lapack_qr.cache_info().currsize == 1\n"
+        )
+        src = str(Path(matalg.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestEigenvalues:
