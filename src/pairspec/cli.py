@@ -8,10 +8,10 @@ Subcommands::
     pairspec sweep    --config cfg.json --out results/
 
 All subcommands share the flags --config (JSON experiment config; built-in
-defaults when omitted), --out (output directory), --seed (override the
-config's base seed), --threads (kept for old configs; it has no effect:
-every trial runs on the calling thread) and --strict (promote advisory
-check failures to fatal).  Exit codes:
+defaults when omitted), --out (output directory, default the current
+one; it is not part of the config, so no report records it), --seed
+(override the config's base seed) and --strict (promote advisory check
+failures to fatal).  Exit codes:
 0 success, 1 verification failure, 2 configuration or I/O error.
 """
 
@@ -35,15 +35,9 @@ from .harness import (
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="experiment config JSON")
-    common.add_argument("--out", metavar="DIR", help="output directory")
+    common.add_argument("--out", metavar="DIR", default=".", help="output directory")
     common.add_argument(
         "--seed", type=int, metavar="U64", help="override the config base seed"
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        metavar="N",
-        help="no effect; every trial runs on the calling thread",
     )
     common.add_argument(
         "--strict",
@@ -84,12 +78,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides: dict = {}
     if args.seed is not None:
         overrides["base_seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.strict:
         overrides["strict"] = True
-    if args.out is not None:
-        overrides["out_dir"] = args.out
     return replace(config, **overrides) if overrides else config
 
 
@@ -98,20 +88,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         if args.command == "sample":
-            path = cmd_sample(config)
+            path = cmd_sample(config, args.out)
             print(f"wrote {path}")
             return 0
         if args.command == "boundary":
-            path = cmd_boundary(config)
+            path = cmd_boundary(config, args.out)
             print(f"wrote {path}")
             return 0
         if args.command == "verify":
-            report, path = cmd_verify(config)
+            report, path = cmd_verify(config, args.out)
             for check in report.checks:
                 print(f"{check.name}: {check.status}")
             print(f"overall: {report.overall} ({path})")
             return report.exit_code
-        paths, code = cmd_sweep(config)
+        paths, code = cmd_sweep(config, args.out)
         print(f"wrote {len(paths)} reports to {paths[0].parent}")
         return code
     except PairspecError as exc:

@@ -6,7 +6,9 @@ counter-based mixing function, trials run in order, and text outputs are
 written with repr-exact floats and LF endings.  Every command does its
 trial work with OpenBLAS pinned to one thread, so repeated runs produce
 byte-identical CSVs and semantically identical JSON reports (wall time
-aside) whatever the BLAS thread count; ``threads`` selects nothing.
+aside) whatever the BLAS thread count; ``threads`` selects nothing.  The
+output directory is each command's argument, not a config field, so no
+report records it.
 
 The ``verify`` command runs a configurable battery of checks; five reduce
 one pass over ``sample``'s pairs, drawing each once, and every trial runs
@@ -202,7 +204,6 @@ class ExperimentConfig:
     checks: tuple[str, ...] = CHECK_NAMES
     strict: bool = False
     threads: int = 0  # selects nothing: every trial runs on the calling thread
-    out_dir: str | None = None
     sweep_taus: tuple[complex, ...] = ()
     sweep_alphas: tuple[float, ...] = ()
 
@@ -259,7 +260,6 @@ _FIELD_PARSERS: dict[str, Callable[[Any, str], Any]] = {
     "checks": _tuple_of(_of_type(str)),
     "strict": _of_type(bool),
     "threads": _integer,
-    "out_dir": _of_type(str, type(None)),
     "sweep_taus": _tuple_of(_complex),
     "sweep_alphas": _tuple_of(_number),
 }
@@ -519,6 +519,11 @@ def _status(failed: bool, advisory_failed: bool, strict: bool) -> str:
     return "pass"
 
 
+def _mean_ok(dev: float, se: float) -> bool:
+    """The mean gate: ``dev`` within SE_SIGMAS standard errors, or 1e-9 where se is 0."""
+    return dev <= SE_SIGMAS * se if se > 0.0 else dev <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -684,8 +689,7 @@ def _check_mean_eigenvalue(
         mean, se = grand_mean(sums, [n] * len(sums))
         pred = mean_eigenvalue_prediction(params, p / n, config.product_kind)
         dev = abs(mean - pred)
-        ok = dev <= SE_SIGMAS * se if se > 0.0 else dev <= 1e-9
-        failed = failed or not ok
+        failed = failed or not _mean_ok(dev, se)
         per_dims.append(
             {
                 "n": n,
@@ -751,7 +755,7 @@ def _check_rotation(config: ExperimentConfig, records: list[list]) -> CheckResul
     m1, se1 = grand_mean(rot_sums, [n] * config.trials)
     se_joint = math.hypot(se0, se1)
     dev = abs(m1 - phase * m0)
-    mean_ok = dev <= SE_SIGMAS * se_joint if se_joint > 0.0 else dev <= 1e-9
+    mean_ok = _mean_ok(dev, se_joint)
 
     return CheckResult(
         name="rotation",
@@ -783,14 +787,14 @@ _CHECK_FUNCS: dict[str, Callable[[ExperimentConfig, list[list]], CheckResult]] =
 # commands
 
 
-def _resolve_out(config: ExperimentConfig, out_dir: str | os.PathLike | None) -> Path:
-    out = Path(out_dir if out_dir is not None else config.out_dir or ".")
+def _resolve_out(out_dir: str | os.PathLike) -> Path:
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_sample(
-    config: ExperimentConfig, out_dir: str | os.PathLike | None = None
+    config: ExperimentConfig, out_dir: str | os.PathLike = "."
 ) -> Path:
     """Write the spectrum of every pair of :func:`_pairs` to one CSV.
 
@@ -799,7 +803,7 @@ def cmd_sample(
     bytes are deterministic.  Each trial's rows are written as soon as its
     pair is drawn, so one trial at a time is held in memory.
     """
-    path = _resolve_out(config, out_dir) / "eigenvalues.csv"
+    path = _resolve_out(out_dir) / "eigenvalues.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh, blas_single_thread():
         fh.write("trial,n,p,re_lambda,im_lambda\n")
         for d_i, (n, p) in enumerate(config.dims):
@@ -810,7 +814,7 @@ def cmd_sample(
 
 
 def cmd_boundary(
-    config: ExperimentConfig, out_dir: str | os.PathLike | None = None
+    config: ExperimentConfig, out_dir: str | os.PathLike = "."
 ) -> Path:
     """Write the predicted support boundary for the first dims entry.
 
@@ -819,7 +823,7 @@ def cmd_boundary(
     support carries an atom.  Square-aspect pseudo-inverse configs have
     no boundary and raise.
     """
-    out = _resolve_out(config, out_dir)
+    out = _resolve_out(out_dir)
     params = config.ensemble_params()
     n, p = config.dims[0]
     alpha = Dims(n, p).alpha
@@ -860,14 +864,14 @@ def _write_report(report: VerificationReport, path: Path) -> None:
 
 
 def cmd_verify(
-    config: ExperimentConfig, out_dir: str | os.PathLike | None = None
+    config: ExperimentConfig, out_dir: str | os.PathLike = "."
 ) -> tuple[VerificationReport, Path]:
     """Run the configured checks, write report.json, return the report.
 
     The report's exit_code is 0 iff no check ended in status "fail";
     advisory shortfalls do not change it unless the config is strict.
     """
-    out = _resolve_out(config, out_dir)
+    out = _resolve_out(out_dir)
     with blas_single_thread():
         report = _run_checks(config, {})
     path = out / "report.json"
@@ -876,7 +880,7 @@ def cmd_verify(
 
 
 def cmd_sweep(
-    config: ExperimentConfig, out_dir: str | os.PathLike | None = None
+    config: ExperimentConfig, out_dir: str | os.PathLike = "."
 ) -> tuple[list[Path], int]:
     """Run verify over the (tau, alpha) grid, one report per cell.
 
@@ -900,7 +904,7 @@ def cmd_sweep(
     shared = {}
     if "disc_equivalence" in config.checks:
         shared["disc_equivalence"] = _check_disc_equivalence(config, [])
-    out = _resolve_out(config, out_dir)
+    out = _resolve_out(out_dir)
     paths: list[Path] = []
     worst = 0
     with blas_single_thread():

@@ -145,7 +145,6 @@ class TestExperimentConfig:
             checks=("penrose", "rotation"),
             strict=True,
             threads=2,
-            out_dir="results",
             sweep_taus=(0.1, 0.2 + 0.1j),
             sweep_alphas=(0.5, 2.0),
         )
@@ -345,6 +344,21 @@ class TestCmdSample:
 
         peak(2)  # first-call allocations
         assert peak(2000) <= 2 * peak(2)
+
+    @pytest.mark.parametrize("product_kind", PRODUCT_KINDS)
+    def test_pinned_spectrum_gives_the_rows_sample_writes(self, tmp_path, product_kind):
+        # a library call runs at the process's BLAS thread count; pinned, it
+        # gives the commands' bits
+        cfg = _fast_config(kind=REAL, dims=((40, 20), (20, 40)), product_kind=product_kind)
+        rows = ["trial,n,p,re_lambda,im_lambda"]
+        with blas_single_thread():
+            for d_i, (n, p) in enumerate(cfg.dims):
+                for trial, pair in enumerate(harness._pairs(cfg, d_i)):
+                    rows += [
+                        f"{trial},{n},{p},{float(lam.real)!r},{float(lam.imag)!r}"
+                        for lam in spectrum(pair, product_kind).eigs
+                    ]
+        assert cmd_sample(cfg, out_dir=tmp_path).read_text().splitlines() == rows
 
 
 class TestCmdBoundary:
@@ -606,6 +620,27 @@ class TestCmdSweep:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("product_kind", PRODUCT_KINDS)
+    def test_each_cell_report_is_the_verify_report_of_its_config(self, tmp_path, product_kind):
+        # guards the cell derivation and the one disc_equivalence run all cells share
+        cfg = _fast_config(
+            dims=((16, 8),),
+            product_kind=product_kind,
+            checks=CHECK_NAMES,
+            sweep_taus=(0.0, 0.5),
+            sweep_alphas=(0.5, 2.0),
+        )
+        paths, _ = cmd_sweep(cfg, out_dir=tmp_path / "sweep")
+        assert len(paths) == 4
+        for path in paths:
+            cell = json.loads(path.read_text())
+            cell_cfg = ExperimentConfig.from_json_dict(cell["config"])
+            _, verify_path = cmd_verify(cell_cfg, out_dir=tmp_path / path.stem)
+            alone = json.loads(verify_path.read_text())
+            cell.pop("wall_time_s")
+            alone.pop("wall_time_s")
+            assert cell == alone
+
     def test_alpha_rounding_to_square_pseudo_inverse_is_a_config_error(self, tmp_path):
         fields = dict(dims=((40, 80),), product_kind=PSEUDO_INVERSE, sweep_alphas=(0.5, 1.01))
         with pytest.raises(ConfigError, match="1.01"):
@@ -673,7 +708,8 @@ class TestCli:
             {"tau": True},
             {"sweep_alphas": [True]},
             {"checks": ["penrose", "penrose"]},
-            {"out_dir": 5},
+            # out_dir is no longer a field: --out is the command's argument
+            {"out_dir": "results"},
             {"dims": [[200_000, 200_000]]},
             # sweep-cell rules hold for every command
             {"kind": "complex_independent", "dims": [[20, 40]], "sweep_taus": [0.0, [0.3, 0.3]]},
@@ -749,6 +785,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["sample", "boundary", "verify", "sweep"])
     def test_out_reaches_the_command_through_the_config(self, tmp_path, monkeypatch, command):
+        """--out reaches the command as its argument; the config holds no path."""
         seen = []
         real = getattr(cli, f"cmd_{command}")
 
@@ -762,8 +799,30 @@ class TestCli:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
         [(args, kwargs)] = seen
-        assert kwargs == {} and args[0].out_dir == str(out)
+        assert kwargs == {} and args[1] == str(out)
+        assert str(out) not in args[0].to_json()
         assert any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_reports_do_not_depend_on_the_out_path(self, tmp_path, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(_fast_config(dims=((12, 6),), trials=2, sweep_alphas=(0.5, 2.0)).to_json())
+        texts = []
+        for out in (tmp_path / "a", tmp_path / "deeper" / "b"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out.resolve())]) == 0
+            texts.append({
+                path.name: [line for line in path.read_text().splitlines()
+                            if '"wall_time_s"' not in line]
+                for path in out.iterdir()
+            })
+        assert texts[0] == texts[1]
+        assert len(texts[0]) == (1 if command == "verify" else 2)
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--out", str(tmp_path), "--threads", "1"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestThreadCountDeterminism:
@@ -801,18 +860,18 @@ class TestThreadCountDeterminism:
                 pytest.skip("no OpenBLAS to pin")
         config = {"kind": REAL, "tau": 0.5, "dims": [[400, 200], [300, 600]],
                   "trials": 2, "base_seed": 31337}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
         src = str(Path(pairspec.__file__).resolve().parent.parent)
         outputs = []
         for blas in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "PYTHONPATH": src}
-            for threads in ("1", "2"):
+            for threads in (1, 2):
                 run_dir = tmp_path / f"blas{blas}_threads{threads}"
                 run_dir.mkdir()
+                cfg_path = run_dir / "cfg.json"
+                cfg_path.write_text(json.dumps({**config, "threads": threads}))
                 for command in ("sample", "verify"):
                     argv = [sys.executable, "-m", "pairspec.cli", command, "--config",
-                            str(cfg_path), "--out", "out", "--threads", threads]
+                            str(cfg_path), "--out", "out"]
                     done = subprocess.run(argv, cwd=run_dir, env=env, capture_output=True)
                     assert done.returncode in (0, 1), done.stderr
                 report = json.loads((run_dir / "out" / "report.json").read_text())
