@@ -5,158 +5,24 @@ correlation, compute eigenvalue clouds of the products X Y* and X Y†,
 predict their limiting supports in closed form (an ellipse and a disc,
 plus a possible atom at zero), and verify predictions against both exact
 finite-size identities and Monte Carlo coverage statistics.
+
+Each module declares its public names once, in its own ``__all__``; the
+package re-exports every one of them, so ``pairspec.X`` is ``module.X``.
 """
 
+from . import empirical, ensembles, errors, harness, matalg, predict
 from ._version import PACKAGE_VERSION as __version__
-from .empirical import (
-    CoverageReport,
-    SpectrumSample,
-    coverage,
-    default_zero_tol,
-    grand_mean,
-    mean_eigenvalue,
-    reference_spectrum,
-    spectrum,
-    wa_determinant_check,
-    wa_identity_check,
-)
-from .ensembles import (
-    COMPLEX_GENERAL,
-    COMPLEX_INDEPENDENT,
-    KINDS,
-    REAL,
-    Dims,
-    EnsembleParams,
-    MatrixPair,
-    entry_covariance,
-    mixing_coefficients,
-    sample_pair,
-    validate_params,
-)
-from .errors import (
-    AlphaOneUnsupported,
-    ComplexTauInRealKind,
-    ConfigError,
-    EmptyInput,
-    EmptyMatrix,
-    LambdaZero,
-    NoConvergence,
-    NonFinite,
-    NonPositiveSigma,
-    NonSquare,
-    PairspecError,
-    ShapeMismatch,
-    TauOutOfUnitDisc,
-)
-from .harness import (
-    CHECK_NAMES,
-    CheckResult,
-    ExperimentConfig,
-    VerificationReport,
-    cmd_boundary,
-    cmd_sample,
-    cmd_sweep,
-    cmd_verify,
-    derive_seed,
-    validate_config,
-)
-from .matalg import (
-    PinvResult,
-    QRFactor,
-    eigenvalues,
-    multiset_max_distance,
-    penrose_residuals,
-    pseudo_inverse,
-    qr_factor,
-)
-from .predict import (
-    CONJ_TRANSPOSE,
-    PRODUCT_KINDS,
-    PSEUDO_INVERSE,
-    DiscSupport,
-    EllipseSupport,
-    boundary_points,
-    disc_support,
-    ellipse_support,
-    in_support_via_tau,
-    mean_eigenvalue_prediction,
-    normalised_radius,
-    support_contains,
-    tau_lambda_sq,
-    zero_in_ellipse,
-)
+from .ensembles import *
+from .matalg import *
+from .predict import *
+from .empirical import *
+from .harness import *
+from .errors import *
 
-__all__ = [
-    "__version__",
-    # ensembles
-    "REAL",
-    "COMPLEX_INDEPENDENT",
-    "COMPLEX_GENERAL",
-    "KINDS",
-    "EnsembleParams",
-    "Dims",
-    "MatrixPair",
-    "validate_params",
-    "mixing_coefficients",
-    "sample_pair",
-    "entry_covariance",
-    # matalg
-    "PinvResult",
-    "pseudo_inverse",
-    "QRFactor",
-    "qr_factor",
-    "penrose_residuals",
-    "eigenvalues",
-    "multiset_max_distance",
-    # predict
-    "CONJ_TRANSPOSE",
-    "PSEUDO_INVERSE",
-    "PRODUCT_KINDS",
-    "EllipseSupport",
-    "DiscSupport",
-    "ellipse_support",
-    "disc_support",
-    "normalised_radius",
-    "support_contains",
-    "zero_in_ellipse",
-    "tau_lambda_sq",
-    "in_support_via_tau",
-    "mean_eigenvalue_prediction",
-    "boundary_points",
-    # empirical
-    "SpectrumSample",
-    "CoverageReport",
-    "spectrum",
-    "reference_spectrum",
-    "wa_identity_check",
-    "wa_determinant_check",
-    "default_zero_tol",
-    "coverage",
-    "mean_eigenvalue",
-    "grand_mean",
-    # harness
-    "CHECK_NAMES",
-    "ExperimentConfig",
-    "CheckResult",
-    "VerificationReport",
-    "derive_seed",
-    "validate_config",
-    "cmd_sample",
-    "cmd_boundary",
-    "cmd_verify",
-    "cmd_sweep",
-    # errors
-    "PairspecError",
-    "NonPositiveSigma",
-    "TauOutOfUnitDisc",
-    "ComplexTauInRealKind",
-    "EmptyMatrix",
-    "ShapeMismatch",
-    "NonSquare",
-    "NonFinite",
-    "NoConvergence",
-    "AlphaOneUnsupported",
-    "LambdaZero",
-    "EmptyInput",
-    "ConfigError",
-]
+__all__ = ["__version__"]
+__all__ += ensembles.__all__
+__all__ += matalg.__all__
+__all__ += predict.__all__
+__all__ += empirical.__all__
+__all__ += harness.__all__
+__all__ += errors.__all__

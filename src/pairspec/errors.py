@@ -1,5 +1,21 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PairspecError",
+    "NonPositiveSigma",
+    "TauOutOfUnitDisc",
+    "ComplexTauInRealKind",
+    "EmptyMatrix",
+    "ShapeMismatch",
+    "NonSquare",
+    "NonFinite",
+    "NoConvergence",
+    "AlphaOneUnsupported",
+    "LambdaZero",
+    "EmptyInput",
+    "ConfigError",
+]
+
 
 class PairspecError(Exception):
     """Base class for every error this package raises deliberately."""

@@ -334,7 +334,11 @@ def validate_config(config: ExperimentConfig) -> None:
     n0 = config.dims[0][0]
     shapes = list(config.dims)  # then each sweep cell's, below
     for a in config.sweep_alphas:
-        if not (a > 0.0 and math.isfinite(a * n0)):  # a sweep cell has p = a * n0
+        try:  # a sweep cell has p = a * n0
+            finite = math.isfinite(a * n0)
+        except OverflowError:  # n0 itself is past the float range
+            finite = False
+        if not (a > 0.0 and finite):
             raise ConfigError(
                 f"sweep_alphas entries must be > 0 with alpha * n0 finite, got {a}"
             )

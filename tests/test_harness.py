@@ -213,6 +213,7 @@ class TestValidateConfig:
             {"sweep_alphas": (1e308,)},  # finite, but p = alpha * n0 is not
             # past 10**6 trials x dims the rotation stream runs into the trials'
             {"trials": 600_000, "dims": ((400, 200), (400, 800))},
+            {"dims": ((10**400, 2),), "sweep_alphas": (0.5,)},  # n0 past the float range
         ],
     )
     def test_bad_configs_rejected(self, overrides):
