@@ -6,16 +6,16 @@ for Y†, X Y†'s spectrum matrix and Y†'s kernel certificate; where R is
 numerically singular the same factor carries the SVD pseudo-inverse in
 place of R, so no caller branches on Y's rank.  That QR runs in place, in
 one column-major copy of Y, through the LAPACK routines of the OpenBLAS
-that numpy itself calls, looked up at the first factorisation; where they
-are not loaded, np.linalg.qr runs instead, with the same bits.
+that numpy itself calls, found through numpy's LAPACK extension at the
+first factorisation; elsewhere np.linalg.qr runs instead, with the same bits.
 :func:`pseudo_inverse` is that SVD, and the reference path: it applies an
 explicit relative cutoff so that the effective rank is part of the result.
 Both tests of rank use one cutoff, max(N, P) * eps relative to the largest
 value.  Eigenvalue extraction maps LAPACK failure modes onto this
 package's error types.  Real input stays real (float64), so it runs the
 cheaper real LAPACK routines; complex input is complex128.
-:func:`blas_single_thread` pins OpenBLAS to one thread for a block of
-work.
+:func:`blas_single_thread` pins that same OpenBLAS, the one numpy's
+LAPACK calls and GEMMs run in, to one thread for a block of work.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def qr_factor(a: np.ndarray) -> QRFactor:
 
     The QR runs as ?geqrf then ?orgqr (?ungqr for complex entries) on one
     column-major copy of ``a`` or a*, in the OpenBLAS that numpy calls; Q
-    comes back row-major.  Where that library's routines are not loaded,
+    comes back row-major.  Where that library does not export them,
     np.linalg.qr runs instead, which computes the same Q and R through
     about four copies.  Where R is numerically singular, min |r_ii| <=
     max(N, P) * eps * max |r_ii| (the SVD's own cutoff scale), the factor
@@ -320,57 +320,32 @@ _OPENBLAS_GET_SET = [
 ]
 
 
-class _PhdrInfo(ctypes.Structure):
-    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+@functools.cache
+def _numpy_lapack() -> ctypes.CDLL | None:
+    """numpy's LAPACK extension as a ctypes handle, reopened once, loading nothing.
 
-
-def _loaded_openblas() -> list[ctypes.CDLL]:
-    """Every OpenBLAS already loaded into the process, as ctypes handles.
-
-    The loaded libraries are listed with dl_iterate_phdr and reopened with
-    RTLD_NOLOAD, so nothing new is loaded.  Empty where the platform has
-    neither, or no OpenBLAS is loaded.
+    A symbol looked up through it is searched for in the extension and the
+    libraries it links: the function numpy's own calls resolve to, in the
+    OpenBLAS its GEMMs run in too.  None, which has no symbols, where there
+    is no RTLD_NOLOAD (Windows) or the extension cannot be reopened.
     """
     try:
-        iterate = ctypes.CDLL(None).dl_iterate_phdr
-        noload = os.RTLD_NOLOAD
-    except AttributeError:
-        return []
-    names: list[bytes] = []
-    visit_type = ctypes.CFUNCTYPE(
-        ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t, ctypes.c_void_p
-    )
-    iterate.argtypes, iterate.restype = [visit_type, ctypes.c_void_p], ctypes.c_int
-
-    def visit(info, _size, _data) -> int:
-        name = info.contents.name
-        if name and b"openblas" in name.lower():
-            names.append(name)
-        return 0
-
-    callback = visit_type(visit)  # referenced until the call returns
-    iterate(callback, None)
-    libs = []
-    for name in names:
-        try:
-            libs.append(ctypes.CDLL(os.fsdecode(name), mode=noload))
-        except OSError:
-            continue
-    return libs
+        from numpy.linalg import _umath_linalg
+        return ctypes.CDLL(_umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+    except (ImportError, AttributeError, OSError):
+        return None
 
 
 def _openblas_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
-    """(get, set) thread-count functions of every OpenBLAS already loaded."""
-    controls = []
-    for lib in _loaded_openblas():
-        for get_name, set_name in _OPENBLAS_GET_SET:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                controls.append((get, set_))
-                break
-    return controls
+    """(get, set) thread-count functions of the OpenBLAS numpy calls; empty if none."""
+    lib = _numpy_lapack()
+    for get_name, set_name in _OPENBLAS_GET_SET:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return [(get, set_)]
+    return []
 
 
 # LAPACK's reduced QR as numpy's bundled OpenBLAS (scipy-openblas64, 64-bit
@@ -383,26 +358,25 @@ _QR_ROUTINES = {
 
 @functools.cache
 def _lapack_qr() -> dict[np.dtype, tuple[Callable[..., None], Callable[..., None]]]:
-    """(?geqrf, ?orgqr or ?ungqr) by entry type, from the loaded OpenBLAS.
+    """(?geqrf, ?orgqr or ?ungqr) by entry type, from the OpenBLAS numpy calls.
 
-    Looked up once per process, at the first call, among the libraries
-    :func:`blas_single_thread` pins.  Empty where no loaded library exports
-    all four routines; :func:`qr_factor` then runs np.linalg.qr.
+    Looked up once per process, at the first call, through numpy's own
+    LAPACK extension, as :func:`blas_single_thread`'s controls are.  Empty
+    where it exports not all four; :func:`qr_factor` then runs np.linalg.qr.
     """
+    lib = _numpy_lapack()
+    if not all(hasattr(lib, name) for pair in _QR_ROUTINES.values() for name in pair):
+        return {}
     int_p, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    for lib in _loaded_openblas():
-        if not all(hasattr(lib, name) for pair in _QR_ROUTINES.values() for name in pair):
-            continue
-        found = {}
-        for dtype, names in _QR_ROUTINES.items():
-            geqrf, orgqr = (getattr(lib, name) for name in names)
-            # M, N (and K for ?orgqr), A, LDA, TAU, WORK, LWORK, INFO
-            geqrf.argtypes = [int_p] * 2 + [ptr, int_p, ptr, ptr, int_p, int_p]
-            orgqr.argtypes = [int_p] * 3 + [ptr, int_p, ptr, ptr, int_p, int_p]
-            geqrf.restype = orgqr.restype = None
-            found[dtype] = (geqrf, orgqr)
-        return found
-    return {}
+    found = {}
+    for dtype, names in _QR_ROUTINES.items():
+        geqrf, orgqr = (getattr(lib, name) for name in names)
+        # M, N (and K for ?orgqr), A, LDA, TAU, WORK, LWORK, INFO
+        geqrf.argtypes = [int_p] * 2 + [ptr, int_p, ptr, ptr, int_p, int_p]
+        orgqr.argtypes = [int_p] * 3 + [ptr, int_p, ptr, ptr, int_p, int_p]
+        geqrf.restype = orgqr.restype = None
+        found[dtype] = (geqrf, orgqr)
+    return found
 
 
 _pin_lock = threading.Lock()
@@ -416,10 +390,10 @@ def blas_single_thread() -> Iterator[bool]:
 
     OpenBLAS keeps one thread count for the whole process (in a pthreads
     build even openblas_set_num_threads_local changes it for every
-    thread), so pins nest and overlap by count: the first one in saves
-    each loaded OpenBLAS's count and sets it to 1, the last one out puts
-    the saved counts back.  With no OpenBLAS loaded nothing changes and
-    the block gets False.
+    thread), so pins nest and overlap by count: the first one in saves the
+    count and sets it to 1, the last one out puts it back.  The OpenBLAS is
+    the one numpy calls, found through numpy's own LAPACK extension; where
+    there is none to pin, nothing changes and the block gets False.
     """
     global _pin_depth
     controls = _openblas_controls()

@@ -1,6 +1,10 @@
 """Pseudo-inverse, Penrose diagnostics, eigensolver wrapper, matching."""
 
+import ctypes
+import importlib.machinery
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -235,7 +239,7 @@ class TestQRFactor:
 
 def _in_place_qr_or_skip():
     if not matalg._lapack_qr():
-        pytest.skip("no loaded OpenBLAS exports LAPACK's QR routines")
+        pytest.skip("numpy's OpenBLAS does not export LAPACK's QR routines")
 
 
 class TestInPlaceQR:
@@ -287,14 +291,19 @@ class TestInPlaceQR:
     def test_without_the_routines_numpy_qr_runs(self, monkeypatch, n, p, complex_entries):
         y = _gaussian(n, p, seed=n + p, complex_entries=complex_entries)
         calls = []
-        real_qr = np.linalg.qr
+        real_qr, lookup = np.linalg.qr, matalg._lapack_qr.__wrapped__
         with blas_single_thread():
             fast = qr_factor(y)
             monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or real_qr(a))
             monkeypatch.setattr(matalg, "_lapack_qr", lambda: {})
             slow = qr_factor(y)
-        assert calls == [(max(n, p), min(n, p))]
-        assert np.array_equal(slow.q, fast.q) and np.array_equal(slow.r, fast.r)
+            # no handle to numpy's LAPACK extension: the uncached lookup finds nothing
+            monkeypatch.setattr(matalg, "_numpy_lapack", lambda: None)
+            monkeypatch.setattr(matalg, "_lapack_qr", lookup)
+            unopened = qr_factor(y)
+        assert calls == [(max(n, p), min(n, p))] * 2
+        for factor in (slow, unopened):
+            assert np.array_equal(factor.q, fast.q) and np.array_equal(factor.r, fast.r)
 
     def test_found_wherever_openblas_is_pinned(self):
         # a numpy wheel that stops exporting the routines fails here, rather
@@ -419,11 +428,16 @@ class TestBlasSingleThread:
 
     def test_unavailable_changes_nothing(self, monkeypatch):
         before = self._counts()
-        monkeypatch.setattr(matalg, "_openblas_controls", lambda: [])
-        with blas_single_thread() as pinned:
-            assert pinned is False
-            monkeypatch.undo()
-            assert self._counts() == before
+        # no thread controls, or no handle to numpy's LAPACK extension to find them by
+        for name, unavailable in (
+            ("_openblas_controls", lambda: []),
+            ("_numpy_lapack", lambda: None),
+        ):
+            monkeypatch.setattr(matalg, name, unavailable)
+            with blas_single_thread() as pinned:
+                assert pinned is False
+                monkeypatch.undo()
+                assert self._counts() == before
 
     def test_concurrent_pins_hold_and_restore(self):
         # more threads than cores entering and leaving pins at once: while
@@ -452,3 +466,61 @@ class TestBlasSingleThread:
         assert len(seen) == 8 * 200
         assert all(counts == [1] * len(before) for counts in seen)
         assert self._counts() == before
+
+    def test_pins_the_openblas_numpy_multiplies_in(self):
+        # numpy's multiarray extension runs X Y*, Q* X and the Penrose GEMMs:
+        # the thread controls and QR routines found are the functions it resolves to
+        with blas_single_thread() as pinned:
+            if not pinned:
+                pytest.skip("no OpenBLAS to pin")
+        # numpy 2's extension, else numpy 1's (whose numpy._core is a shim)
+        extension = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get(
+            "numpy.core._multiarray_umath"
+        )
+        multiarray = ctypes.CDLL(extension.__file__, mode=os.RTLD_NOLOAD)
+        found = [f for pair in matalg._openblas_controls() for f in pair]
+        found += [f for pair in matalg._lapack_qr().values() for f in pair]
+        assert len(found) == 6
+
+        def address(f):
+            return ctypes.cast(f, ctypes.c_void_p).value
+
+        for f in found:
+            assert address(f) == address(getattr(multiarray, f.__name__)), f.__name__
+
+    def test_pinning_while_another_thread_imports_does_not_hang(self, tmp_path):
+        # one thread pins in a loop while the main thread loads 400 copies of
+        # an extension module; a pin that ran Python under the dynamic
+        # loader's lock deadlocked against an import holding the GIL
+        with blas_single_thread() as pinned:
+            if not pinned:
+                pytest.skip("no OpenBLAS to pin")
+        suffixes = tuple(importlib.machinery.EXTENSION_SUFFIXES)
+        specs = (importlib.util.find_spec(name) for name in ("_bisect", "_heapq", "_json", "_csv"))
+        spec = next((s for s in specs if s and (s.origin or "").endswith(suffixes)), None)
+        if spec is None:
+            pytest.skip("no stdlib module here is a shared object")
+        for i in range(400):
+            (tmp_path / str(i)).mkdir()
+            shutil.copy(spec.origin, tmp_path / str(i))
+        code = (
+            "import importlib.util, sys, threading\n"
+            "from pathlib import Path\n"
+            "from pairspec.matalg import blas_single_thread\n"
+            "def pin():\n"
+            "    while True:\n"
+            "        with blas_single_thread():\n"
+            "            pass\n"
+            "threading.Thread(target=pin, daemon=True).start()\n"
+            "for path in Path(sys.argv[2]).glob('*/*'):\n"
+            "    spec = importlib.util.spec_from_file_location(sys.argv[1], path)\n"
+            "    importlib.util.module_from_spec(spec)\n"
+        )
+        src = str(Path(matalg.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [sys.executable, "-c", code, spec.name, str(tmp_path)]
+        try:
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("pinning while another thread imported hung for 60 s")
+        assert done.returncode == 0, done.stderr
