@@ -330,9 +330,8 @@ def _numpy_lapack() -> ctypes.CDLL | None:
     is no RTLD_NOLOAD (Windows) or the extension cannot be reopened.
     """
     try:
-        from numpy.linalg import _umath_linalg
-        return ctypes.CDLL(_umath_linalg.__file__, mode=os.RTLD_NOLOAD)
-    except (ImportError, AttributeError, OSError):
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+    except (AttributeError, OSError):  # no such module, no file, no RTLD_NOLOAD
         return None
 
 
