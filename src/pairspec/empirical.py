@@ -80,12 +80,10 @@ def spectrum(
 
     The eigenproblem is solved at min(N, P), by the identity that
     :func:`wa_identity_check` verifies: for P < N the spectrum is that of
-    a P x P matrix (Y* X, or R^-1 Q* X from Y = QR) followed by N - P
-    exact zeros.  For X Y† the matrix is ``qr_factor(Y).reduced(X)``,
-    which forms no Y† and runs no SVD while Y has full rank; for a
-    numerically rank-deficient Y it is the N x N product from the SVD,
-    whose eigensolve finds every kernel zero and nothing is padded, as in
-    :func:`reference_spectrum`.  A caller that already holds the matrix
+    a P x P matrix (Y* X, or Y† X) followed by N - P exact zeros.  For
+    X Y† the matrix is ``qr_factor(Y).reduced(X)``, which forms no Y† and
+    runs no SVD while Y has full rank, and reads the SVD's Y† where Y is
+    numerically rank-deficient.  A caller that already holds the matrix
     passes it as ``reduced``, and only its eigensolve runs.  Real input
     is factored and solved in float64.
     """
@@ -108,9 +106,7 @@ def reference_spectrum(pair: MatrixPair, product_kind: str) -> SpectrumSample:
 
     The reference path for :func:`spectrum`: Y† comes from the SVD
     pseudo-inverse, and every one of the N eigenvalues, kernel zeros
-    included, comes out of the eigensolver.  Tests compare the two paths;
-    for a numerically rank-deficient Y they agree bit for bit, since
-    :func:`qr_factor` then holds this same Y†.
+    included, comes out of the eigensolver.  Tests compare the two paths.
     """
     _check_product_kind(product_kind)
     if product_kind == CONJ_TRANSPOSE:

@@ -281,8 +281,6 @@ def _trial_bytes(n: int, p: int, itemsize: int) -> int:
     wherever R is numerically singular, which any pair may take (numpy's
     copy of Y, U, Vh and the solver's real workspace) or the
     pseudo-inverse built from them, beside Q, 4np + 5s^2 + t; the
-    SVD-held factor's n x n reduced matrix X Y† and its eigensolve, beside
-    Y† and Q, np + 2n^2 + t, under the SVD's term where p >= n; the
     Penrose check, the pseudo-inverse, one square product, a quarter-size
     block of its Hermitian residual and two np-sized residual terms,
     3np + 5m^2/4; or the determinant-form product-ordering check, both
@@ -291,8 +289,9 @@ def _trial_bytes(n: int, p: int, itemsize: int) -> int:
     column-major copy of Y or Y* that LAPACK factors in place, Q's row-major
     copy, R and the work array; or, where :func:`qr_factor` falls back to
     np.linalg.qr, its copies of Y or Y*, Q and R) under 4np + s^2; X Y†'s
-    reduced matrix and Y† from the factor (Q, R, Q's conjugate, the solver's
-    copies, the result) under the SVD's term; the kernel certificate at
+    reduced matrix, s x s on every path, with its eigensolve, and Y† from
+    the factor (Q, R, Q's conjugate, the solver's copies, the result) under
+    the SVD's term; the kernel certificate at
     p < n, beside Q, R and Y†, first Y†Q, Q's conjugate, (Y†Q)Q* and its
     difference from Y†, under 4np + 2p^2, then the n x n X (Y† - (Y†Q)Q*),
     3np + p^2 + n^2, under the SVD's term where p >= n/2 and the Penrose
@@ -303,7 +302,7 @@ def _trial_bytes(n: int, p: int, itemsize: int) -> int:
     """
     m, s, np_ = max(n, p), min(n, p), n * p
     t = np_ if p < n else 0  # the tall factor's Q, kept beside the SVD
-    steps = max(4 * np_ + 5 * s * s + t, np_ + 2 * n * n + t, 3 * np_ + 5 * m * m // 4)
+    steps = max(4 * np_ + 5 * s * s + t, 3 * np_ + 5 * m * m // 4)
     return 2 * np_ * itemsize + max(steps * itemsize, (2 * m * m + s * s) * 16)
 
 

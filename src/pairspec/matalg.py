@@ -106,16 +106,14 @@ class QRFactor:
     svd_pinv: np.ndarray | None = None
 
     def reduced(self, x: np.ndarray) -> np.ndarray:
-        """The matrix whose eigenvalues are X Y†'s, less any padded zeros.
+        """The min(N, P)-square matrix whose eigenvalues are X Y†'s, less N - P zeros.
 
-        From Q and R it is min(N, P) square, X Y†'s spectrum less its
-        N - P kernel zeros: R^-1 Q* X for P < N, whose eigenvalues
-        X R^-1 Q* shares; R^-* X Q for P >= N, similar to X Q R^-*.  From
-        the SVD it is X Y† itself, N x N, whose eigensolve finds every
-        kernel zero.
+        For P < N it is Y† X, whose eigenvalues X Y† shares: R^-1 Q* X, or
+        the SVD's Y† times X.  For P >= N it is R^-* X Q, similar to
+        X Q R^-*, or X times the SVD's Y†.
         """
         if self.svd_pinv is not None:
-            return x @ self.svd_pinv
+            return self.svd_pinv @ x if self.tall else x @ self.svd_pinv
         if self.tall:
             return np.linalg.solve(self.r, self.q.conj().T @ x)
         return np.linalg.solve(self.r.conj().T, x @ self.q)
@@ -335,16 +333,16 @@ def _numpy_lapack() -> ctypes.CDLL | None:
         return None
 
 
-def _openblas_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
-    """(get, set) thread-count functions of the OpenBLAS numpy calls; empty if none."""
+def _openblas_controls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) thread-count functions of the OpenBLAS numpy calls; None if none."""
     lib = _numpy_lapack()
     for get_name, set_name in _OPENBLAS_GET_SET:
         if hasattr(lib, get_name) and hasattr(lib, set_name):
             get, set_ = getattr(lib, get_name), getattr(lib, set_name)
             get.restype, get.argtypes = ctypes.c_int, []
             set_.restype, set_.argtypes = None, [ctypes.c_int]
-            return [(get, set_)]
-    return []
+            return get, set_
+    return None
 
 
 # LAPACK's reduced QR as numpy's bundled OpenBLAS (scipy-openblas64, 64-bit
@@ -380,7 +378,7 @@ def _lapack_qr() -> dict[np.dtype, tuple[Callable[..., None], Callable[..., None
 
 _pin_lock = threading.Lock()
 _pin_depth = 0
-_pin_saved: list[tuple[Callable[[int], None], int]] = []
+_pin_saved = 0  # the thread count the first pin in found
 
 
 @contextlib.contextmanager
@@ -394,16 +392,16 @@ def blas_single_thread() -> Iterator[bool]:
     the one numpy calls, found through numpy's own LAPACK extension; where
     there is none to pin, nothing changes and the block gets False.
     """
-    global _pin_depth
+    global _pin_depth, _pin_saved
     controls = _openblas_controls()
-    if not controls:
+    if controls is None:
         yield False
         return
+    get, set_ = controls
     with _pin_lock:
         if _pin_depth == 0:
-            _pin_saved[:] = [(set_, get()) for get, set_ in controls]
-            for _, set_ in controls:
-                set_(1)
+            _pin_saved = get()
+            set_(1)
         _pin_depth += 1
     try:
         yield True
@@ -411,5 +409,4 @@ def blas_single_thread() -> Iterator[bool]:
         with _pin_lock:
             _pin_depth -= 1
             if _pin_depth == 0:
-                for set_, count in _pin_saved:
-                    set_(count)
+                set_(_pin_saved)

@@ -28,6 +28,7 @@ from pairspec import (
     grand_mean,
     mean_eigenvalue,
     multiset_max_distance,
+    pseudo_inverse,
     reference_spectrum,
     sample_pair,
     spectrum,
@@ -119,6 +120,10 @@ def _differential_tol(eigs):
     return 1e-9 * max(1.0, float(np.max(np.abs(eigs))))
 
 
+def _zero_count(eigs):
+    return int(np.count_nonzero(np.abs(eigs) <= default_zero_tol(eigs)))
+
+
 class TestReducedPathAgainstReference:
     """``spectrum`` (QR, eig at min(N, P)) against the full-size SVD path."""
 
@@ -165,13 +170,21 @@ class TestReducedPathAgainstReference:
         y_tall[:, 5] = y_tall[:, 2]  # two equal columns
         y_wide = wide.y_mat.copy()
         y_wide[7, :] = y_wide[3, :]  # two equal rows
-        for planted in (
-            dataclasses.replace(tall, y_mat=y_tall),
-            dataclasses.replace(wide, y_mat=y_wide),
-        ):
+        tall = dataclasses.replace(tall, y_mat=y_tall)
+        wide = dataclasses.replace(wide, y_mat=y_wide)
+        for planted in (tall, wide):
             got = spectrum(planted, PSEUDO_INVERSE).eigs
             ref = reference_spectrum(planted, PSEUDO_INVERSE).eigs
-            assert np.array_equal(got, ref)
+            assert multiset_max_distance(got, ref) <= _differential_tol(ref)
+            assert _zero_count(got) == _zero_count(ref)
+        # the factor holds the reference's Y†: wide Y's X Y† is the reference's
+        # matrix, and tall Y's spectrum is Y† X's, then N - P zeros
+        assert np.array_equal(
+            spectrum(wide, PSEUDO_INVERSE).eigs, reference_spectrum(wide, PSEUDO_INVERSE).eigs
+        )
+        small = eigenvalues(pseudo_inverse(y_tall).pinv @ tall.x_mat)
+        want = np.concatenate([small, np.zeros(30 - 12, np.complex128)])
+        assert np.array_equal(spectrum(tall, PSEUDO_INVERSE).eigs, want)
 
 
 class TestWaIdentity:

@@ -273,14 +273,18 @@ class TestMemoryGuard:
             _fast_config(dims=((40, 80),), sweep_alphas=(0.5, 10.0**6))
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX_GENERAL])
-    @pytest.mark.parametrize("dims", [(120, 60), (60, 120), (100, 100), (150, 30), (30, 150)])
+    @pytest.mark.parametrize(
+        "dims", [(120, 60), (60, 120), (100, 100), (150, 30), (30, 150), (300, 80), (400, 40)]
+    )
     def test_bound_covers_the_traced_peak(self, kind, dims):
         product = CONJ_TRANSPOSE if dims[0] == dims[1] else PSEUDO_INVERSE
         peak = self._traced_peak(kind, dims, product)
         assert peak <= harness._trial_bytes(*dims, 8 if kind == REAL else 16)
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX_GENERAL])
-    @pytest.mark.parametrize("dims", [(120, 60), (60, 120), (150, 30), (30, 150)])
+    @pytest.mark.parametrize(
+        "dims", [(120, 60), (60, 120), (150, 30), (30, 150), (300, 80), (400, 40)]
+    )
     def test_bound_covers_the_traced_peak_of_the_svd_fallback(self, monkeypatch, kind, dims):
         _plant_rank_deficient_y(monkeypatch)
         peak = self._traced_peak(kind, dims, PSEUDO_INVERSE)
@@ -1078,8 +1082,8 @@ class TestTrialPipeline:
         assert results["penrose"].status == "pass"
         assert results["zero_atoms"].status == "pass"
         assert results["zero_atoms"].stats["per_dims"][0]["min_zero_count"] == 24 - 12
-        # coverage reads the reference spectrum, and the mean the trace of X Y†;
-        # the reference finds the planted extra kernel zero
+        # coverage counts the reference spectrum's zeros, the planted extra
+        # kernel zero among them, and the mean is the trace of X Y†
         records = harness._trial_records(cfg)
         reports, traces = records["coverage"][0], records["mean_eigenvalue"][0]
         for rep, trace, pair in zip(reports, traces, harness._pairs(cfg, 0), strict=True):
@@ -1087,6 +1091,20 @@ class TestTrialPipeline:
             zeros = int(np.count_nonzero(np.abs(eigs) <= default_zero_tol(eigs)))
             assert rep.zero_count == zeros >= 24 - 12 + 1
             assert abs(trace - np.sum(eigs)) <= 1e-12 * float(np.sum(np.abs(eigs)))
+
+    def test_the_svd_fallback_eigensolves_at_min_n_p(self, tmp_path, monkeypatch):
+        # as on the QR path, the SVD-held factor's reduced matrix is min(n, p) square
+        _plant_rank_deficient_y(monkeypatch)
+        cfg = _fast_config(dims=((24, 12), (12, 24)), checks=CHECK_NAMES)
+        calls, shapes = Counter(), []
+        _count_linalg_calls(monkeypatch, "svd", calls)
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or real(a))
+        cmd_sample(cfg, out_dir=tmp_path)
+        cmd_verify(cfg, out_dir=tmp_path)
+        pairs = len(cfg.dims) * cfg.trials
+        assert calls["svd"] == 2 * pairs  # every pair, in sample and in verify
+        assert shapes == [(12, 12)] * 2 * pairs
 
     @pytest.mark.parametrize("planted", [False, True])
     @pytest.mark.parametrize("kind", KINDS)

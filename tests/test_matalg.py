@@ -227,8 +227,9 @@ class TestQRFactor:
         assert (factor.q is not None) == (p < n)
         assert np.array_equal(factor.svd_pinv, ref.pinv)
         assert np.array_equal(factor.pinv(), ref.pinv)
+        # the reduced matrix is min(N, P) square: Y† X where Y is tall, else X Y†
         x = _gaussian(n, p, seed=4)
-        assert np.array_equal(factor.reduced(x), x @ ref.pinv)
+        assert np.array_equal(factor.reduced(x), ref.pinv @ x if p < n else x @ ref.pinv)
 
     def test_nonfinite_rejected(self):
         y = _gaussian(6, 3, seed=4)
@@ -405,52 +406,50 @@ class TestMultisetMaxDistance:
 
 
 class TestBlasSingleThread:
-    def _counts(self):
-        return [get() for get, _ in matalg._openblas_controls()]
+    def _count(self):
+        controls = matalg._openblas_controls()
+        return None if controls is None else controls[0]()
 
     def test_pins_nests_and_restores(self):
-        before = self._counts()
-        if not before:
+        before = self._count()
+        if before is None:
             pytest.skip("no OpenBLAS loaded")
         with blas_single_thread() as pinned:
             assert pinned is True
-            assert self._counts() == [1] * len(before)
+            assert self._count() == 1
             with blas_single_thread() as inner:
                 assert inner is True
-            assert self._counts() == [1] * len(before)  # the outer pin still holds
-        assert self._counts() == before
+            assert self._count() == 1  # the outer pin still holds
+        assert self._count() == before
 
     def test_restores_after_an_exception(self):
-        before = self._counts()
+        before = self._count()
         with pytest.raises(RuntimeError), blas_single_thread():
             raise RuntimeError
-        assert self._counts() == before
+        assert self._count() == before
 
     def test_unavailable_changes_nothing(self, monkeypatch):
-        before = self._counts()
+        before = self._count()
         # no thread controls, or no handle to numpy's LAPACK extension to find them by
-        for name, unavailable in (
-            ("_openblas_controls", lambda: []),
-            ("_numpy_lapack", lambda: None),
-        ):
-            monkeypatch.setattr(matalg, name, unavailable)
+        for name in ("_openblas_controls", "_numpy_lapack"):
+            monkeypatch.setattr(matalg, name, lambda: None)
             with blas_single_thread() as pinned:
                 assert pinned is False
                 monkeypatch.undo()
-                assert self._counts() == before
+                assert self._count() == before
 
     def test_concurrent_pins_hold_and_restore(self):
         # more threads than cores entering and leaving pins at once: while
         # any pin is held the count is 1, and the last one out restores it
-        before = self._counts()
-        if not before:
+        before = self._count()
+        if before is None:
             pytest.skip("no OpenBLAS loaded")
         seen = []
 
         def worker():
             for _ in range(200):
                 with blas_single_thread():
-                    seen.append(self._counts())
+                    seen.append(self._count())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -464,8 +463,8 @@ class TestBlasSingleThread:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(seen) == 8 * 200
-        assert all(counts == [1] * len(before) for counts in seen)
-        assert self._counts() == before
+        assert all(count == 1 for count in seen)
+        assert self._count() == before
 
     def test_pins_the_openblas_numpy_multiplies_in(self):
         # numpy's multiarray extension runs X Y*, Q* X and the Penrose GEMMs:
@@ -478,7 +477,7 @@ class TestBlasSingleThread:
             "numpy.core._multiarray_umath"
         )
         multiarray = ctypes.CDLL(extension.__file__, mode=os.RTLD_NOLOAD)
-        found = [f for pair in matalg._openblas_controls() for f in pair]
+        found = list(matalg._openblas_controls())
         found += [f for pair in matalg._lapack_qr().values() for f in pair]
         assert len(found) == 6
 
