@@ -32,7 +32,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, get_args, get_type_hints
 
 import numpy as np
 
@@ -141,44 +141,49 @@ def _number(value: Any, name: str) -> float:
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
-def _integer(value: Any, name: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _pair(value: Any, name: str, parse: Callable[[Any, str], Any]) -> tuple:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ConfigError(f"{name} must be a pair, got {value!r}")
-    return parse(value[0], name), parse(value[1], name)
-
-
 def _complex(value: Any, name: str) -> complex:
     """A number, a complex, or an [re, im] pair, all parts finite."""
     if isinstance(value, complex):
         value = (value.real, value.imag)
     if isinstance(value, (list, tuple)):
-        return complex(*_pair(value, name, _number))
+        return complex(*_parse(value, tuple[float, float], name))
     return complex(_number(value, name))
 
 
-def _of_type(*kinds: type) -> Callable[[Any, str], Any]:
-    def parse(value: Any, name: str) -> Any:
-        if not isinstance(value, kinds):
-            want = " or ".join(k.__name__ for k in kinds)
-            raise ConfigError(f"{name} must be {want}, got {value!r}")
-        return value
+def _parse(value: Any, hint: Any, name: str) -> Any:
+    """``value`` as a field annotated ``hint``, else ConfigError; nothing is coerced.
 
-    return parse
-
-
-def _tuple_of(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
-    def parse_all(value: Any, name: str) -> tuple:
+    A float is a finite number (:func:`_number`) and a complex a number or
+    an [re, im] pair (:func:`_complex`); an int, str or bool must be of
+    exactly that type, and a bool is not an int.  ``tuple[T, ...]`` is a
+    list of T, each named by its index, and ``tuple[T, T]`` a pair.
+    """
+    if hint is float:
+        return _number(value, name)
+    if hint is complex:
+        return _complex(value, name)
+    args = get_args(hint)
+    if args and args[-1] is Ellipsis:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name} must be a list, got {value!r}")
-        return tuple(parse(v, f"{name}[{i}]") for i, v in enumerate(value))
+        return tuple(_parse(v, args[0], f"{name}[{i}]") for i, v in enumerate(value))
+    if args:
+        if not (isinstance(value, (list, tuple)) and len(value) == len(args)):
+            raise ConfigError(f"{name} must be a pair, got {value!r}")
+        return tuple(_parse(v, t, name) for v, t in zip(value, args))
+    if isinstance(value, hint) and not (hint is int and isinstance(value, bool)):
+        return hint(value)
+    want = "an integer" if hint is int else hint.__name__
+    raise ConfigError(f"{name} must be {want}, got {value!r}")
 
-    return parse_all
+
+def _json_form(value: Any) -> Any:
+    """A field's value as JSON holds it: a tuple as a list, a complex as [re, im]."""
+    if isinstance(value, tuple):
+        return [_json_form(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,8 @@ class ExperimentConfig:
     """Everything one run depends on; JSON round-trips exactly.
 
     Construction is the one parse-and-validate path: each field must have
-    its type (no coercion), and the result must pass
+    the type its annotation declares, the only statement of that type
+    (:func:`_parse`; no coercion), and the result must pass
     :func:`validate_config`, else ConfigError.  So every instance is
     valid, and ``dataclasses.replace`` checks again.
     """
@@ -208,8 +214,8 @@ class ExperimentConfig:
     sweep_alphas: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        for name, parse in _FIELD_PARSERS.items():
-            object.__setattr__(self, name, parse(getattr(self, name), name))
+        for name, hint in _FIELD_TYPES.items():
+            object.__setattr__(self, name, _parse(getattr(self, name), hint, name))
         validate_config(self)
 
     def ensemble_params(self, tau: complex | None = None) -> EnsembleParams:
@@ -217,13 +223,7 @@ class ExperimentConfig:
         return EnsembleParams(self.sigma_x, self.sigma_y, tau, self.kind, self.split)
 
     def to_json_dict(self) -> dict[str, Any]:
-        d = asdict(self)
-        d["tau"] = [self.tau.real, self.tau.imag]
-        d["dims"] = [list(pair) for pair in self.dims]
-        d["checks"] = list(self.checks)
-        d["sweep_taus"] = [[t.real, t.imag] for t in self.sweep_taus]
-        d["sweep_alphas"] = list(self.sweep_alphas)
-        return d
+        return {name: _json_form(getattr(self, name)) for name in _FIELD_TYPES}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -232,7 +232,7 @@ class ExperimentConfig:
     def from_json_dict(cls, data: dict[str, Any]) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
+        unknown = set(data).difference(_FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
@@ -246,23 +246,7 @@ class ExperimentConfig:
         return cls.from_json_dict(data)
 
 
-_FIELD_PARSERS: dict[str, Callable[[Any, str], Any]] = {
-    "sigma_x": _number,
-    "sigma_y": _number,
-    "tau": _complex,
-    "kind": _of_type(str),
-    "split": _number,
-    "dims": _tuple_of(lambda v, name: _pair(v, name, _integer)),
-    "product_kind": _of_type(str),
-    "trials": _integer,
-    "base_seed": _integer,
-    "margin": _number,
-    "checks": _tuple_of(_of_type(str)),
-    "strict": _of_type(bool),
-    "threads": _integer,
-    "sweep_taus": _tuple_of(_complex),
-    "sweep_alphas": _tuple_of(_number),
-}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)  # each field's one declared type
 
 
 def _sweep_p(alpha: float, n0: int) -> int:

@@ -3,9 +3,11 @@
 import cmath
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -181,6 +183,83 @@ class TestExperimentConfig:
         text = cfg.to_json()
         json.loads(text, parse_constant=_no_constant)
         assert ExperimentConfig.from_json(text) == cfg
+
+    @pytest.mark.parametrize(
+        "data, text",
+        [
+            ({"dims": [[20, 10, 7]]}, "dims[0] must be a pair, got [20, 10, 7]"),
+            ({"dims": 5}, "dims must be a list, got 5"),
+            ({"dims": [[20.9, 10]]}, "dims[0] must be an integer, got 20.9"),
+            ({"checks": [1]}, "checks[0] must be str, got 1"),
+            ({"strict": "false"}, "strict must be bool, got 'false'"),
+            ({"trials": 2.7}, "trials must be an integer, got 2.7"),
+            ({"trials": True}, "trials must be an integer, got True"),
+            ({"margin": "0.1"}, "margin must be a finite number, got '0.1'"),
+            ({"sweep_taus": ["x"]}, "sweep_taus[0] must be a finite number, got 'x'"),
+            ({"tau": [1, 2, 3]}, "tau must be a pair, got [1, 2, 3]"),
+            ({"tau": [1, "x"]}, "tau must be a finite number, got 'x'"),
+        ],
+    )
+    def test_type_error_messages(self, data, text):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_json_dict(data)
+        assert str(exc.value) == text
+
+    def test_json_dict_of_every_field(self):
+        # the report's "config" block, which perfbench reads dims and tau from
+        cfg = ExperimentConfig(
+            sigma_x=1.5,
+            sigma_y=0.5,
+            tau=0.3 + 0.4j,
+            kind=COMPLEX_GENERAL,
+            split=0.6,
+            dims=((100, 50), (64, 64)),
+            product_kind=CONJ_TRANSPOSE,
+            trials=7,
+            base_seed=2**60 + 3,
+            margin=0.05,
+            checks=("penrose", "rotation"),
+            strict=True,
+            threads=2,
+            sweep_taus=(0.1, 0.2 + 0.1j),
+            sweep_alphas=(0.5, 2.0),
+        )
+        expected = {
+            "sigma_x": 1.5,
+            "sigma_y": 0.5,
+            "tau": [0.3, 0.4],
+            "kind": "complex_general",
+            "split": 0.6,
+            "dims": [[100, 50], [64, 64]],
+            "product_kind": "conj_transpose",
+            "trials": 7,
+            "base_seed": 2**60 + 3,
+            "margin": 0.05,
+            "checks": ["penrose", "rotation"],
+            "strict": True,
+            "threads": 2,
+            "sweep_taus": [[0.1, 0.0], [0.2, 0.1]],
+            "sweep_alphas": [0.5, 2.0],
+        }
+        got = cfg.to_json_dict()
+        assert got == expected  # lists, not tuples
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert sorted(got) == sorted(_FIELD_NAMES)
+
+
+class TestReadmeConfigSection:
+    _README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def test_field_table_names_each_field_once(self):
+        lines = self._README.splitlines()
+        start = lines.index("| field | accepted |") + 2  # past the header rule
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+        names = [n for row in rows for n in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert sorted(names) == sorted(_FIELD_NAMES)
+
+    def test_example_config_parses(self):
+        [block] = re.findall(r"```json\n(.*?)```", self._README, flags=re.DOTALL)
+        ExperimentConfig.from_json(block)
 
 
 class TestValidateConfig:
