@@ -16,10 +16,11 @@ on the calling thread.  Exact identities (Penrose conditions, the
 product-ordering identity in determinant form, the zero atom's kernel
 certificate, membership-route equivalence, the field-level parts of
 rotation covariance) fail fatally when violated.  Statistical support-
-coverage shortfalls are advisory by default -- the underlying support-
-convergence statement is a conjecture at finite N -- and are promoted to
-fatal by ``strict``.  The process exit code is 0 iff no non-advisory
-check failed.
+coverage shortfalls are advisory -- the underlying support-convergence
+statement is a conjecture at finite N -- and fatal under ``strict``, which
+``_run_checks`` alone applies to the checks' own verdicts.  The exit code
+is 0 iff no non-advisory check failed.  ``verify`` and ``sweep`` write
+their reports through one pinned loop, ``_write_reports``.
 """
 
 from __future__ import annotations
@@ -498,14 +499,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _status(failed: bool, advisory_failed: bool, strict: bool) -> str:
-    if failed:
-        return "fail"
-    if advisory_failed:
-        return "fail" if strict else "advisory"
-    return "pass"
-
-
 def _mean_ok(dev: float, se: float) -> bool:
     """The mean gate: ``dev`` within SE_SIGMAS standard errors, or 1e-9 where se is 0."""
     return dev <= SE_SIGMAS * se if se > 0.0 else dev <= 1e-9
@@ -521,7 +514,7 @@ def _check_penrose(config: ExperimentConfig, records: list[list]) -> CheckResult
     worst = max(residuals)
     return CheckResult(
         name="penrose",
-        status=_status(worst > PENROSE_TOL, False, config.strict),
+        status="fail" if worst > PENROSE_TOL else "pass",
         stats={"max_residual": worst, "samples": len(residuals), "tol": PENROSE_TOL},
     )
 
@@ -532,7 +525,7 @@ def _check_wa(config: ExperimentConfig, records: list[list]) -> CheckResult:
     worst = max(gap for _, gap in results)
     return CheckResult(
         name="weinstein_aronszajn",
-        status=_status(not all(ok for ok, _ in results), False, config.strict),
+        status="pass" if all(ok for ok, _ in results) else "fail",
         stats={"max_log_det_gap": worst, "samples": len(results), "tol": WA_DET_TOL},
     )
 
@@ -570,7 +563,7 @@ def _check_zero_atoms(config: ExperimentConfig, records: list[list]) -> CheckRes
     fatal = any(d["max_certificate_residual"] > KERNEL_TOL for d in per_dims)
     return CheckResult(
         name="zero_atoms",
-        status=_status(fatal, False, config.strict),
+        status="fail" if fatal else "pass",
         stats={"dims_checked": len(rect), "per_dims": per_dims, "tol": KERNEL_TOL},
     )
 
@@ -580,10 +573,11 @@ def _check_coverage(config: ExperimentConfig, records: list[list]) -> CheckResul
 
     :func:`coverage` classifies in the support's own units, so scaling
     sigma_x by a power of two moves no figure.  Support convergence at
-    finite N is conjectural: an inside fraction below 99.5% is advisory
-    unless strict.  A support that cannot be built (pseudo-inverse at
-    alpha = 1) is a configuration failure and fatal; :func:`_trial_records`
-    hands it over in place of the dims entry's reports.
+    finite N is conjectural: an inside fraction below 99.5% is advisory,
+    whatever ``strict`` (:func:`_run_checks` applies it).  A support that
+    cannot be built (pseudo-inverse at alpha = 1) is a configuration
+    failure and fatal; :func:`_trial_records` hands it over in place of
+    the dims entry's reports.
     """
     per_dims: list[dict[str, Any]] = []
     fatal = False
@@ -609,7 +603,7 @@ def _check_coverage(config: ExperimentConfig, records: list[list]) -> CheckResul
         )
     return CheckResult(
         name="coverage",
-        status=_status(fatal, advisory, config.strict),
+        status="fail" if fatal else "advisory" if advisory else "pass",
         stats={"per_dims": per_dims, "min_inside_fraction": COVERAGE_MIN_INSIDE},
         note=note,
     )
@@ -655,7 +649,7 @@ def _check_disc_equivalence(
             disagreements += 1
     return CheckResult(
         name="disc_equivalence",
-        status=_status(disagreements > 0, False, config.strict),
+        status="fail" if disagreements else "pass",
         stats={
             "draws": draws,
             "skipped_band": skipped_band,
@@ -691,7 +685,7 @@ def _check_mean_eigenvalue(
         )
     return CheckResult(
         name="mean_eigenvalue",
-        status=_status(failed, False, config.strict),
+        status="fail" if failed else "pass",
         stats={"per_dims": per_dims, "se_sigmas": SE_SIGMAS},
     )
 
@@ -723,9 +717,8 @@ def _check_rotation(config: ExperimentConfig, records: list[list]) -> CheckResul
 
     field_err = 0.0
     for n, p in config.dims:
-        alpha = Dims(n, p).alpha
-        e0 = ellipse_support(base_params, alpha)
-        e1 = ellipse_support(rot_params, alpha)
+        e0 = ellipse_support(base_params, p / n)
+        e1 = ellipse_support(rot_params, p / n)
         extent = max(e0.semi_major, abs(e0.center))
         field_err = max(
             field_err,
@@ -746,7 +739,7 @@ def _check_rotation(config: ExperimentConfig, records: list[list]) -> CheckResul
 
     return CheckResult(
         name="rotation",
-        status=_status(not (field_ok and mean_ok), False, config.strict),
+        status="pass" if field_ok and mean_ok else "fail",
         stats={
             "angle": theta,
             "field_max_error": field_err,
@@ -813,8 +806,7 @@ def cmd_boundary(
     out = _resolve_out(out_dir)
     params = config.ensemble_params()
     n, p = config.dims[0]
-    alpha = Dims(n, p).alpha
-    support = _support(params, alpha, config.product_kind)
+    support = _support(params, p / n, config.product_kind)
     pts = boundary_points(support, count=512)
     path = out / "boundary.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -834,6 +826,8 @@ def _run_checks(config: ExperimentConfig, shared: dict) -> VerificationReport:
         shared[name] if name in shared else _CHECK_FUNCS[name](config, records[name])
         for name in config.checks
     )
+    if config.strict:  # the one place strict applies
+        results = tuple(replace(r, status="fail") if r.status == "advisory" else r for r in results)
     failed = any(r.status == "fail" for r in results)
     return VerificationReport(
         version=PACKAGE_VERSION,
@@ -845,9 +839,19 @@ def _run_checks(config: ExperimentConfig, shared: dict) -> VerificationReport:
     )
 
 
-def _write_report(report: VerificationReport, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report.to_json())
+def _write_reports(
+    out_dir: str | os.PathLike, cells: list[tuple[str, ExperimentConfig]], shared: dict
+) -> list[tuple[VerificationReport, Path]]:
+    """verify's and sweep's one loop: with BLAS pinned, run each named cell, write its report."""
+    out = _resolve_out(out_dir)
+    written = []
+    with blas_single_thread():
+        for name, cell in cells:
+            report = _run_checks(cell, shared)
+            path = out / name
+            path.write_text(report.to_json(), encoding="utf-8", newline="")
+            written.append((report, path))
+    return written
 
 
 def cmd_verify(
@@ -856,13 +860,11 @@ def cmd_verify(
     """Run the configured checks, write report.json, return the report.
 
     The report's exit_code is 0 iff no check ended in status "fail";
-    advisory shortfalls do not change it unless the config is strict.
+    advisory shortfalls do not change it unless the config is strict, which
+    :func:`_run_checks` alone applies; :func:`_write_reports` writes it as
+    one cell.
     """
-    out = _resolve_out(out_dir)
-    with blas_single_thread():
-        report = _run_checks(config, {})
-    path = out / "report.json"
-    _write_report(report, path)
+    [(report, path)] = _write_reports(out_dir, [("report.json", config)], {})
     return report, path
 
 
@@ -872,16 +874,17 @@ def cmd_sweep(
     """Run verify over the (tau, alpha) grid, one report per cell.
 
     Cell (i, j) uses sweep_taus[i] and dims (n0, round(alpha_j * n0))
-    derived from the first configured shape; its report is written to
-    report_tau{i}_alpha{j}.json.  :func:`validate_config` has already
-    checked every cell, so a bad cell leaves no reports behind.  The
-    returned exit code is 0 iff every cell passed.  Cells share trial seeds
-    (common random numbers); ``disc_equivalence``, which reads neither tau
-    nor dims, runs once for all of them.
+    derived from the first configured shape; verify's loop,
+    :func:`_write_reports`, runs it and writes report_tau{i}_alpha{j}.json.
+    :func:`validate_config` has already checked every cell, so a bad cell
+    leaves no reports behind.  The returned exit code is 0 iff every cell
+    passed.  Cells share trial seeds (common random numbers);
+    ``disc_equivalence``, which reads neither tau nor dims, runs once for
+    all of them.
     """
     taus = config.sweep_taus or (config.tau,)
-    alphas = config.sweep_alphas or (Dims(*config.dims[0]).alpha,)
-    n0 = config.dims[0][0]
+    n0, p0 = config.dims[0]
+    alphas = config.sweep_alphas or (p0 / n0,)
     # validate_config has checked every cell, so none of these raises
     cells = [
         (f"report_tau{i}_alpha{j}.json", replace(config, tau=tau, dims=((n0, _sweep_p(a, n0)),)))
@@ -891,14 +894,5 @@ def cmd_sweep(
     shared = {}
     if "disc_equivalence" in config.checks:
         shared["disc_equivalence"] = _check_disc_equivalence(config, [])
-    out = _resolve_out(out_dir)
-    paths: list[Path] = []
-    worst = 0
-    with blas_single_thread():
-        for name, cell in cells:
-            report = _run_checks(cell, shared)
-            path = out / name
-            _write_report(report, path)
-            paths.append(path)
-            worst = max(worst, report.exit_code)
-    return paths, worst
+    written = _write_reports(out_dir, cells, shared)
+    return [path for _, path in written], max(report.exit_code for report, _ in written)

@@ -538,6 +538,17 @@ class TestCmdVerify:
         assert strict.checks[0].status == "fail"
         assert strict.exit_code == 1
 
+    def test_reports_are_utf8_with_lf_endings(self, tmp_path):
+        # verify's and sweep's reports, as test_lf_line_endings requires of the CSV
+        cfg = _fast_config(sweep_alphas=(0.5, 2.0))
+        report, path = cmd_verify(cfg, out_dir=tmp_path / "verify")
+        assert path.read_bytes() == report.to_json().encode("utf-8")
+        paths, _ = cmd_sweep(cfg, out_dir=tmp_path / "sweep")
+        for data in map(Path.read_bytes, (path, *paths)):
+            data.decode("utf-8")
+            assert b"\r" not in data
+            assert data.endswith(b"\n")
+
 
 _SIGMA_EDGE = 2.0**256
 _NUDGE = 1.0 + 2**-52
@@ -737,6 +748,38 @@ class TestCmdSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_strict_promotes_advisory_coverage_in_every_cell(self, tmp_path):
+        # margin 0 at n = 40: coverage falls short in all six cells; strict
+        # turns that status to fail and moves no other status or statistic
+        grid = dict(
+            kind=COMPLEX_GENERAL,
+            dims=((40, 80),),
+            trials=4,
+            margin=0.0,
+            checks=CHECK_NAMES,
+            sweep_taus=(0.5, 0.35 + 0.35j),
+            sweep_alphas=(0.25, 1.5, 3.0),
+        )
+        runs = []
+        for strict in (False, True):
+            paths, code = cmd_sweep(_fast_config(strict=strict, **grid), tmp_path / str(strict))
+            assert len(paths) == 6
+            assert code == int(strict)
+            runs.append([json.loads(p.read_text()) for p in paths])
+        equivalence = set()
+        for lax, strict in zip(*runs):
+            lax_checks = {c["name"]: c for c in lax["checks"]}
+            strict_checks = {c["name"]: c for c in strict["checks"]}
+            assert lax_checks["coverage"]["status"] == "advisory"
+            assert strict_checks["coverage"]["status"] == "fail"
+            for name in CHECK_NAMES:
+                assert lax_checks[name]["stats"] == strict_checks[name]["stats"]
+                if name != "coverage":
+                    assert lax_checks[name]["status"] == strict_checks[name]["status"]
+            for checks in (lax_checks, strict_checks):
+                equivalence.add(json.dumps(checks["disc_equivalence"]["stats"], sort_keys=True))
+        assert len(equivalence) == 1
 
 
 class TestCli:
